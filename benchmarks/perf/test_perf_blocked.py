@@ -48,13 +48,8 @@ def _advance_seconds(circuit, blocked, repeats=3):
     def advance_once():
         DenseEngine(circuit).advance(ops)
 
-    with _engine("fast"):
-        prev = _dense.BLOCKED_SWEEPS
-        _dense.BLOCKED_SWEEPS = blocked
-        try:
-            return _best_of(advance_once, repeats)
-        finally:
-            _dense.BLOCKED_SWEEPS = prev
+    with _engine("fast", blocked_sweeps=blocked):
+        return _best_of(advance_once, repeats)
 
 
 def test_perf_blocked_sweeps_beat_plain_advance_past_the_tile():

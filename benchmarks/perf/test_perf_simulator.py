@@ -15,6 +15,7 @@ slower than from-scratch trajectory groups.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -23,10 +24,13 @@ from repro.circuits import ghz_circuit
 from repro.circuits.gates import cx_matrix, rz_matrix, spec
 from repro.simulator import (
     NoiseModel,
+    PackedTableau,
+    Tableau,
     depolarizing_error,
     engine_mode as _engine,
     sample_counts,
 )
+from repro.simulator.engines import tableau as _tableau_engine
 from repro.simulator.statevector import StateVector
 
 NUM_QUBITS = 14
@@ -225,13 +229,18 @@ def test_perf_packed_vs_uint8_tableau():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("stabilizer", tableau_impl="unpacked"):
+    # each lane serves the tableau engine from one class directly
+    with _engine("stabilizer"), mock.patch.object(
+        _tableau_engine, "make_tableau", Tableau
+    ):
         uint8 = _best_of(run, repeats=2)
-    with _engine("stabilizer", tableau_impl="packed"):
+    with _engine("stabilizer"), mock.patch.object(
+        _tableau_engine, "make_tableau", PackedTableau
+    ):
         packed = _best_of(run, repeats=2)
 
     wide = ghz_circuit(1024)
-    with _engine("stabilizer"):  # auto policy: packed at this width
+    with _engine("stabilizer"):  # width policy: packed at this width
         start = time.perf_counter()
         sample_counts(wide, shots, noise=noise, rng=7)
         wide_seconds = time.perf_counter() - start
@@ -255,7 +264,6 @@ def test_perf_diagonal_run_fusion():
     in the dense engine's advance path."""
     from repro.circuits import QuantumCircuit
     from repro.simulator.engines import DenseEngine
-    from repro.simulator.engines import dense as dense_mod
 
     n = 14
     circuit = QuantumCircuit(n, name="diagruns-perf")
@@ -274,15 +282,10 @@ def test_perf_diagonal_run_fusion():
     def run():
         DenseEngine(circuit).advance(ops)
 
+    with _engine("fast", fuse_diagonal_runs=False):
+        unfused = _best_of(run, repeats=2)
     with _engine("fast"):
-        prev = dense_mod.FUSE_DIAGONAL_RUNS
-        try:
-            dense_mod.FUSE_DIAGONAL_RUNS = False
-            unfused = _best_of(run, repeats=2)
-            dense_mod.FUSE_DIAGONAL_RUNS = True
-            fused = _best_of(run, repeats=2)
-        finally:
-            dense_mod.FUSE_DIAGONAL_RUNS = prev
+        fused = _best_of(run, repeats=2)
 
     lines = [
         f"{n}-qubit T/CP/RZ runs, dense advance path",

@@ -5,9 +5,8 @@ Measures the hot paths every workload in the stack bottoms out in —
 gate application, noisy shot sampling, VQE iteration latency — across
 the engine lanes :func:`repro.simulator.engine_mode` exposes:
 
-* **baseline** — the seed engine: generic ``moveaxis`` gate application
-  (``StateVector.use_fast_kernels = False``) and from-scratch trajectory
-  groups (``sampler.USE_PREFIX_SHARING = False``);
+* **baseline** — the seed engine (``engine_mode("baseline")``): generic
+  ``moveaxis`` gate application and from-scratch trajectory groups;
 * **fast** — the default dispatch: specialized 1q/2q kernels plus
   trajectory prefix-sharing;
 * **stabilizer** — the Aaronson–Gottesman tableau backend for
@@ -39,7 +38,7 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   trajectory group advances in one kernel call per lockstep window,
   with bit-identical seeded counts in both lanes);
 * **blocked sweeps** — cache-blocked wide-state execution
-  (``blocked_wide_dense`` toggles ``dense.BLOCKED_SWEEPS`` off vs on
+  (``blocked_wide_dense`` toggles the config's ``blocked_sweeps`` off vs on
   around a deep-brickwork dense advance past the tile width: the
   blocked lane streams the state in L2-sized tiles and applies every
   tile-local window item per resident tile, one DRAM pass per window
@@ -101,6 +100,7 @@ import pathlib
 import platform
 import sys
 import time
+from unittest import mock
 from typing import Callable, Dict, List, Optional, Sequence
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -115,10 +115,13 @@ from repro.hybrid import VQE, h2_hamiltonian  # noqa: E402
 from repro.simulator import (  # noqa: E402
     SHARD_BLOCK_SHOTS,
     NoiseModel,
+    PackedTableau,
+    Tableau,
     depolarizing_error,
     sample_counts,
 )
 from repro.simulator.engines import DenseEngine  # noqa: E402
+from repro.simulator.engines import tableau as tableau_engine  # noqa: E402
 from repro.simulator.sampler import _sample_per_shot  # noqa: E402
 from repro.simulator.sampler import engine_mode as engine  # noqa: E402
 from repro.simulator.statevector import StateVector  # noqa: E402
@@ -398,17 +401,22 @@ def bench_packed_tableau(num_qubits: int, shots: int, repeats: int) -> Dict[str,
     """Bit-packed word-parallel tableau vs the uint8 tableau on wide GHZ
     grouped sampling — the packed-engine acceptance benchmark (≥5× at
     100 qubits on the full configuration; both lanes are bit-identical
-    in sampled counts, so this measures representation speed alone)."""
+    in sampled counts, so this measures representation speed alone).
+    Each lane serves the tableau engine from one class directly, past the
+    width policy of ``make_tableau``."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("stabilizer", tableau_impl="unpacked"):
-        unpacked = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
-    with engine("stabilizer", tableau_impl="packed"):
-        packed = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
+
+    def lane(tableau_cls) -> float:
+        with engine("stabilizer"), mock.patch.object(
+            tableau_engine, "make_tableau", tableau_cls
+        ):
+            return _timed(
+                lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
+            )
+
+    unpacked = lane(Tableau)
+    packed = lane(PackedTableau)
     entry = _entry(
         "stabilizer_packed_ghz",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -448,27 +456,18 @@ def bench_diag_fusion(num_qubits: int, layers: int, repeats: int) -> Dict[str, o
     vs on (fast kernels in both lanes) over a T/CP/RZ-heavy circuit —
     isolates the satellite fusion win: each diagonal run costs one
     elementwise pass instead of one full-state traversal per gate."""
-    from repro.simulator.engines import dense as dense_mod
-
     circuit = _diagonal_heavy_circuit(num_qubits, layers)
     ops = list(circuit)
 
     def advance_once():
         DenseEngine(circuit).advance(ops)
 
+    # the unfused lane must disable *both* fusion passes, or block
+    # fusion keeps firing and shrinks the measured ratio
+    with engine("fast", fuse_diagonal_runs=False, fuse_blocks=False):
+        unfused = _timed(advance_once, repeats)
     with engine("fast"):
-        prev = (dense_mod.FUSE_DIAGONAL_RUNS, dense_mod.FUSE_BLOCKS)
-        try:
-            # the unfused lane must disable *both* fusion passes, or
-            # block fusion keeps firing and shrinks the measured ratio
-            dense_mod.FUSE_DIAGONAL_RUNS = False
-            dense_mod.FUSE_BLOCKS = False
-            unfused = _timed(advance_once, repeats)
-            dense_mod.FUSE_DIAGONAL_RUNS = True
-            dense_mod.FUSE_BLOCKS = True
-            fused = _timed(advance_once, repeats)
-        finally:
-            dense_mod.FUSE_DIAGONAL_RUNS, dense_mod.FUSE_BLOCKS = prev
+        fused = _timed(advance_once, repeats)
     entry = _entry(
         "diagonal_fusion_dense",
         {"num_qubits": num_qubits, "layers": layers, "gates": len(ops)},
@@ -611,9 +610,9 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
     (≥1.5× at a cache-resident width; both lanes draw identical RNG
     streams, so seeded counts are bit-identical and the entry measures
     dispatch amortization alone).  The width is deliberately small: the
-    batched walk only engages where a :data:`~repro.simulator.sampler.
-    BATCH_MAX_BYTES` chunk keeps many stacked states cache-resident,
-    and disengages (identical scalar path) beyond it."""
+    batched walk only engages where a ``batch_max_bytes`` chunk keeps
+    many stacked states cache-resident, and disengages (identical scalar
+    path) beyond it."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
     with engine("fast"):
@@ -639,7 +638,6 @@ def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, o
     ``2^n`` state through DRAM once per window item; the blocked lane
     remaps high operands tile-local and applies every item of a sweep
     segment to one L2-resident tile before the next tile streams in."""
-    from repro.simulator import sampler as sampler_mod
     from repro.simulator.engines import dense as dense_mod
 
     circuit = brickwork_circuit(num_qubits, depth, measure=False)
@@ -648,17 +646,12 @@ def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, o
     def advance_once():
         DenseEngine(circuit).advance(ops)
 
-    with engine("fast"):
-        prev = dense_mod.BLOCKED_SWEEPS
-        try:
-            dense_mod.BLOCKED_SWEEPS = False
-            unblocked = _timed(advance_once, repeats)
-            dense_mod.BLOCKED_SWEEPS = True
-            blocked = _timed(advance_once, repeats)
-        finally:
-            dense_mod.BLOCKED_SWEEPS = prev
+    with engine("fast", blocked_sweeps=False):
+        unblocked = _timed(advance_once, repeats)
+    with engine("fast") as config:
+        blocked = _timed(advance_once, repeats)
         tile = dense_mod.blocked_tile_qubits()
-        budget = int(sampler_mod.BATCH_MAX_BYTES)
+        budget = config.batch_max_bytes
     entry = _entry(
         "blocked_wide_dense",
         {
@@ -688,17 +681,16 @@ def bench_batched_wide_grouped(
     lanes.  The floor pins "no meaningful regression over scalar" — the
     wide regime's benefit is shared DRAM traffic, not dispatch
     amortization, and at 16 qubits that nets out near parity."""
-    from repro.simulator import sampler as sampler_mod
     from repro.simulator.engines import dense as dense_mod
 
     circuit = brickwork_circuit(num_qubits, depth)
     noise = _brickwork_noise()
     with engine("fast"):
         scalar = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("batched"):
+    with engine("batched") as config:
         batched = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
         tile = dense_mod.blocked_tile_qubits()
-        budget = int(sampler_mod.BATCH_MAX_BYTES)
+        budget = config.batch_max_bytes
     entry = _entry(
         "batched_wide_grouped",
         {

@@ -7,7 +7,8 @@ production traffic shape — many parameter bindings of one ansatz — all
 of that analysis depends only on the circuit's *structure*, so this
 module compiles it once into an engine-agnostic :class:`ExecutionPlan`
 and caches plans across requests in a bounded LRU keyed by
-``(structural_hash, engine sub-options)``.
+``(structural_hash, plan_key(config))`` — the run's
+:class:`~repro.config.ExecutionConfig` with its run-only fields reset.
 
 Two tiers keep parameter values out of the shared cache:
 
@@ -43,31 +44,44 @@ suite (``tests/test_equivalence_fuzz.py``) pins this across all
 backends.
 
 Import discipline: this module imports only ``repro.circuits`` /
-``repro.qpu`` at module scope; simulator modules are imported lazily
-inside functions (the sampler imports this module, and the simulator
-package pulls in the sampler).
+``repro.config`` / ``repro.qpu`` at module scope; simulator modules are
+imported lazily inside functions (the sampler imports this module, and
+the simulator package pulls in the sampler).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import config as _config
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.dag import instruction_is_clifford
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.circuits.serialize import structural_hash
 from repro.telemetry import tracing as _tracing
 
-#: Master switch: when ``False`` the sampler drivers run unplanned
-#: (every window re-analyzed per request) — the differential baseline.
-PLANS_ENABLED = True
+#: Config fields that never change what a plan contains, reset to their
+#: defaults in the plan key.  Every other field — including any field
+#: added later — lands in the key, so a new knob can never serve a stale
+#: plan; excluding one is a deliberate edit here.
+RUN_ONLY_FIELDS = frozenset(
+    {"mode", "workers", "max_state_bytes", "trace", "suffix_checkpoints", "plans"}
+)
+
+_RUN_ONLY_DEFAULTS = {
+    name: getattr(_config.ExecutionConfig(), name) for name in RUN_ONLY_FIELDS
+}
 
 #: Bounded-LRU capacity of the cross-request plan cache.
 PLAN_CACHE_MAX = 128
 
-_CACHE: "OrderedDict[Tuple[str, tuple], ExecutionPlan]" = OrderedDict()
+_CACHE: "OrderedDict[Tuple[str, _config.ExecutionConfig], ExecutionPlan]" = (
+    OrderedDict()
+)
 _LOCK = threading.RLock()
 _HITS = 0
 _MISSES = 0
@@ -81,27 +95,11 @@ def _dense():
     return dense
 
 
-def _options_key() -> tuple:
-    """The ``engine_mode`` sub-options that change what a plan contains.
-
-    Read lazily at :func:`plan_for` time so flipping a fusion toggle or
-    retuning ``chi`` / ``truncation_threshold`` lands in a different
-    cache slot instead of serving stale artifacts.
-    """
-    from repro.simulator import sampler
-    from repro.simulator.engines import dense, mps
-
-    return (
-        bool(dense.FUSE_DIAGONAL_RUNS),
-        bool(dense.FUSE_BLOCKS),
-        int(dense._FUSION_MAX_QUBITS),
-        int(mps.CHI),
-        float(mps.TRUNCATION_THRESHOLD),
-        # Blocked-sweep schedule inputs: the toggle and the working-set
-        # budget the tile size derives from.
-        bool(dense.BLOCKED_SWEEPS),
-        int(sampler.BATCH_MAX_BYTES),
-    )
+@functools.lru_cache(maxsize=64)
+def plan_key(config: _config.ExecutionConfig) -> _config.ExecutionConfig:
+    """The part of *config* a plan depends on: the config itself with
+    :data:`RUN_ONLY_FIELDS` reset to their defaults."""
+    return dataclasses.replace(config, **_RUN_ONLY_DEFAULTS)
 
 
 class ExecutionPlan:
@@ -114,7 +112,7 @@ class ExecutionPlan:
 
     __slots__ = (
         "structural_hash",
-        "options_key",
+        "config",
         "num_qubits",
         "num_clbits",
         "swap_routes",
@@ -123,8 +121,10 @@ class ExecutionPlan:
         "_schedules",
     )
 
-    def __init__(self, circuit: QuantumCircuit, key: Tuple[str, tuple]) -> None:
-        self.structural_hash, self.options_key = key
+    def __init__(
+        self, circuit: QuantumCircuit, key: Tuple[str, _config.ExecutionConfig]
+    ) -> None:
+        self.structural_hash, self.config = key
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self.swap_routes = self._route_table(circuit)
@@ -164,7 +164,7 @@ class ExecutionPlan:
         key = (start, stop)
         part = self._partitions.get(key, _UNSET)
         if part is _UNSET:
-            part = _dense().partition_window(instructions[start:stop])
+            part = _dense().partition_window(instructions[start:stop], self.config)
             self._partitions[key] = part
         return part
 
@@ -175,14 +175,15 @@ class ExecutionPlan:
         (:func:`repro.simulator.engines.dense.plan_blocked_window`), or
         ``None`` when blocking does not engage.  Memoized across
         requests like the partition: the schedule depends only on
-        structure, the fusion toggles, and the working-set budget — all
-        pinned by this plan's cache key."""
+        structure, the fusion and blocking toggles, and the working-set
+        budget — all pinned by this plan's config key."""
         key = (start, stop)
         schedule = self._schedules.get(key, _UNSET)
         if schedule is _UNSET:
             partition = self.window_partition(instructions, start, stop)
             schedule = _dense().plan_blocked_window(
-                instructions[start:stop], partition, self.num_qubits
+                instructions[start:stop], partition, self.num_qubits,
+                config=self.config,
             )
             self._schedules[key] = schedule
         return schedule
@@ -283,16 +284,20 @@ class BoundPlan:
 # -- the cross-request cache ---------------------------------------------------
 
 
-def plan_for(circuit: QuantumCircuit) -> ExecutionPlan:
+def plan_for(
+    circuit: QuantumCircuit, config: Optional[_config.ExecutionConfig] = None
+) -> ExecutionPlan:
     """The cached :class:`ExecutionPlan` for *circuit*'s structure under
-    the current engine sub-options.
+    *config* (default: the active config).
 
     LRU semantics: hits refresh recency; inserting beyond
     :data:`PLAN_CACHE_MAX` evicts the least recently used entry.
     """
     global _HITS, _MISSES, _EVICTIONS
     with _tracing.span("plan.lookup"):
-        key = (structural_hash(circuit), _options_key())
+        if config is None:
+            config = _config.current()
+        key = (structural_hash(circuit), plan_key(config))
         with _LOCK:
             plan = _CACHE.get(key)
             if plan is not None:
@@ -342,7 +347,7 @@ def plan_cache_info() -> Dict[str, int]:
         }
 
 
-def plan_cache_keys() -> List[Tuple[str, tuple]]:
+def plan_cache_keys() -> List[Tuple[str, _config.ExecutionConfig]]:
     """The cache keys in LRU order (oldest first) — test/diagnostic hook."""
     with _LOCK:
         return list(_CACHE.keys())
@@ -352,9 +357,10 @@ __all__ = [
     "ExecutionPlan",
     "BoundPlan",
     "plan_for",
+    "plan_key",
     "plan_cache_clear",
     "plan_cache_info",
     "plan_cache_keys",
-    "PLANS_ENABLED",
+    "RUN_ONLY_FIELDS",
     "PLAN_CACHE_MAX",
 ]

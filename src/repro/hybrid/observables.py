@@ -268,12 +268,11 @@ def exact_expectation(hamiltonian: PauliSum, circuit: QuantumCircuit) -> float:
     serve every dense contraction); forcing ``"stabilizer"`` /
     ``"hybrid"`` / ``"auto"`` is honoured as-is.
     """
-    from repro.simulator import sampler
+    from repro import config
     from repro.simulator.engines import prepare_engine
 
-    mode = {"fast": "auto", "baseline": "stabilizer"}.get(
-        sampler.ENGINE, sampler.ENGINE
-    )
+    active = config.current().mode
+    mode = {"fast": "auto", "baseline": "stabilizer"}.get(active, active)
     return prepare_engine(circuit, mode).expectation(hamiltonian)
 
 

@@ -48,6 +48,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from repro import config as _config
 from repro.errors import SimulationError
 from repro.simulator.statevector import (
     DENSE_QUBIT_LIMIT,
@@ -82,6 +83,7 @@ class BatchedStateVector:
         if rows < 1:
             raise SimulationError("batch needs at least one row")
         self.num_qubits = int(num_qubits)
+        self.use_fast_kernels = _config.current().accelerated
         dim = 1 << self.num_qubits
         if data is None:
             self._data = np.zeros((rows, dim), dtype=complex)
@@ -114,16 +116,14 @@ class BatchedStateVector:
         """Hilbert-space dimension ``2^n`` of each row."""
         return self._data.shape[1]
 
-    @property
-    def use_fast_kernels(self) -> bool:
-        """Mirrors the scalar dispatch switch (class-level on
-        :class:`StateVector`), so toggling the scalar baseline also
-        steers the batch."""
-        return StateVector.use_fast_kernels
+    #: Mirrors :attr:`StateVector.use_fast_kernels`: fixed when the batch
+    #: is created, so the ``"baseline"`` mode also steers the batch.
+    use_fast_kernels = True
 
     def copy(self) -> "BatchedStateVector":
         dup = BatchedStateVector.__new__(BatchedStateVector)
         dup.num_qubits = self.num_qubits
+        dup.use_fast_kernels = self.use_fast_kernels
         dup._data = self._data.copy()
         dup._perm = self._perm
         return dup
@@ -146,6 +146,7 @@ class BatchedStateVector:
         self.unwind_remap()
         dup = BatchedStateVector.__new__(BatchedStateVector)
         dup.num_qubits = self.num_qubits
+        dup.use_fast_kernels = self.use_fast_kernels
         dup._data = self._data[:rows]
         return dup
 
@@ -216,6 +217,7 @@ class BatchedStateVector:
         self.unwind_remap()
         sv = StateVector.__new__(StateVector)
         sv.num_qubits = self.num_qubits
+        sv.use_fast_kernels = self.use_fast_kernels
         sv._data = self._data[row]
         return sv
 
@@ -271,6 +273,7 @@ class BatchedStateVector:
         internal form behind already-translated per-row kernels."""
         sv = StateVector.__new__(StateVector)
         sv.num_qubits = self.num_qubits
+        sv.use_fast_kernels = self.use_fast_kernels
         sv._data = self._data[row]
         return sv
 

@@ -179,9 +179,9 @@ def prepare_engine(
     :func:`repro.simulator.engine_mode` selection.
     """
     if mode is None:
-        from repro.simulator import sampler
+        from repro import config
 
-        mode = sampler.ENGINE
+        mode = config.current().mode
     engine_cls = select_engine(mode, circuit)
     if mode != "baseline":
         # Same pre-flight admission gate as the sampling path: the

@@ -11,16 +11,16 @@ every trajectory group into one
 all with one kernel call per gate.
 
 :meth:`BatchedDenseEngine.advance_batch` is the batch analogue of
-:meth:`DenseEngine.advance`: the same diagonal-run fusion plan
-(:func:`~repro.simulator.engines.dense.plan_diagonal_fusion`, gated by
-the same :data:`~repro.simulator.engines.dense.FUSE_DIAGONAL_RUNS`
-switch) applied to a row stack instead of a single state.
+:meth:`DenseEngine.advance`: the same window fusion and blocked sweeps
+(:func:`~repro.simulator.engines.dense.window_program`, under the same
+config toggles) applied to a row stack instead of a single state.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
+from repro import config as _config
 from repro.circuits.circuit import Instruction
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.simulator.batched import BatchedStateVector
@@ -44,12 +44,11 @@ class BatchedDenseEngine(DenseEngine):
     @classmethod
     def estimate_peak_bytes(cls, circuit) -> int:
         # The dense peak plus one cache-budget's worth of stacked rows:
-        # batched chunks are sized to fit ``BATCH_MAX_BYTES`` whole, so
+        # batched chunks are sized to fit ``batch_max_bytes`` whole, so
         # that budget is exactly the extra working set this walk adds.
-        from repro.simulator import sampler
-
-        return DenseEngine.estimate_peak_bytes(circuit) + int(
-            sampler.BATCH_MAX_BYTES
+        return (
+            DenseEngine.estimate_peak_bytes(circuit)
+            + _config.current().batch_max_bytes
         )
 
     @classmethod
@@ -72,6 +71,7 @@ class BatchedDenseEngine(DenseEngine):
         start: int,
         stop: int,
         plan=None,
+        config: Optional[_config.ExecutionConfig] = None,
     ) -> None:
         """Window form of :meth:`advance_batch`, mirroring
         :meth:`DenseEngine.advance_span`: with a bound plan the window's
@@ -84,17 +84,21 @@ class BatchedDenseEngine(DenseEngine):
         walk engage beyond the cache-resident widths.  Any remap the
         executor leaves pending is unwound before returning: between
         spans the walk joins rows, injects errors, and builds CDFs, all
-        of which assume the canonical layout.
+        of which assume the canonical layout.  *config* defaults to the
+        active config.
         """
         with _tracing.span(
             "engine.batched_window", rows=batch.rows, start=start, stop=stop
         ):
             if batch.use_fast_kernels and stop - start > 1:
+                if config is None:
+                    config = _config.current()
                 items, schedule = _dense.window_program(
-                    instructions, start, stop, plan, batch.num_qubits
+                    instructions, start, stop, plan, batch.num_qubits, config
                 )
                 if schedule is not None:
-                    _dense.execute_blocked(batch, items, schedule)
+                    tile = _dense.blocked_tile_qubits(config.batch_max_bytes)
+                    _dense.execute_blocked(batch, items, schedule, tile)
                     batch.unwind_remap()
                     return
                 if items is not None:

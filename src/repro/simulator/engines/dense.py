@@ -3,10 +3,16 @@
 Wraps :class:`~repro.simulator.statevector.StateVector` behind the
 :class:`~repro.simulator.engines.base.ExecutionEngine` protocol.  Kernel
 selection (specialized fast kernels vs the generic ``moveaxis``
-baseline) stays on :attr:`StateVector.use_fast_kernels`, toggled by
-:func:`repro.simulator.engine_mode` — the engine object is the *walk*
+baseline) stays on :attr:`StateVector.use_fast_kernels`, fixed by the
+engine mode when the state is created — the engine object is the *walk*
 abstraction, not the kernel switch, so the ``"fast"`` and ``"baseline"``
 modes share this one class.
+
+Window fusion and cache-blocked sweeps follow the
+:class:`~repro.config.ExecutionConfig` the engine was created under
+(``fuse_diagonal_runs``, ``fuse_blocks``, ``blocked_sweeps`` and the
+``batch_max_bytes`` budget the tile derives from); they run only under
+the fast kernels.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro import config as _config
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.dag import scan_diagonal_runs
 from repro.circuits.gates import UNITARY_NOOPS
@@ -24,40 +31,20 @@ from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import StateVector
 from repro.telemetry import tracing as _tracing
 
-#: Diagonal-run kernel fusion switch (active only under the fast
-#: kernels): adjacent diagonal 1q/2q gates in an advance window collapse
-#: into one precomputed elementwise multiply.  The perf harness toggles
-#: this to isolate the fusion win; production code leaves it ``True``.
-FUSE_DIAGONAL_RUNS = True
-
-#: Generalized block-fusion switch (pass 2 of the window partition,
-#: also fast-kernels only): maximal contiguous runs of plain 1q/2q
-#: gates whose qubit union stays within
-#: :data:`BLOCK_FUSION_MAX_QUBITS` collapse into one premultiplied
-#: matrix, so a run of single-qubit rotations costs one kernel call.
-FUSE_BLOCKS = True
-
-#: Cap on the fused operand set: a run whose qubit union exceeds this is
-#: split greedily, keeping every phase table at most ``2^cap`` entries.
+#: Cap on a fused diagonal run's operand set: a run whose qubit union
+#: exceeds this is split greedily, keeping every phase table at most
+#: ``2^cap`` entries.
 _FUSION_MAX_QUBITS = 10
 
-#: Cap on a fused *block*'s qubit union.  2 keeps every premultiplied
-#: matrix at most 4×4 — the shapes the specialized fast kernels accept —
-#: so block fusion never falls off the fast-kernel path.
-BLOCK_FUSION_MAX_QUBITS = 2
+#: Cap on a fused *block*'s qubit union (pass 2 of the window
+#: partition: maximal contiguous runs of plain 1q/2q gates collapse into
+#: one premultiplied matrix).  2 keeps every premultiplied matrix at
+#: most 4×4 — the shapes the specialized fast kernels accept — so block
+#: fusion never falls off the fast-kernel path.
+_BLOCK_FUSION_MAX_QUBITS = 2
 
-#: Cache-blocked sweep switch (fast kernels only): advance windows at
-#: widths beyond the tile (:func:`blocked_tile_qubits`) are executed
-#: tile by tile — every item of a sweep segment applies to one
-#: cache-resident contiguous tile before the next tile streams in, so a
-#: window costs one DRAM pass instead of one per item.  High-order
-#: operands are made tile-local by the lazy qubit remap layer
-#: (:meth:`~repro.simulator.statevector.StateVector.remap_low`).  The
-#: perf harness toggles this to isolate the blocking win.
-BLOCKED_SWEEPS = True
-
-#: One tile is ``1/divisor`` of the sampler's working-set budget
-#: (:data:`~repro.simulator.sampler.BATCH_MAX_BYTES`): sweeps re-read
+#: One tile is ``1/divisor`` of the config's working-set budget
+#: (``batch_max_bytes``): sweeps re-read
 #: the tile once per item, so it must stay resident alongside kernel
 #: temporaries.  8 puts the default 2 MiB budget at 2^14 amplitudes
 #: (256 KiB) — measured best-or-tied from 16 to 20 qubits on an L2 of
@@ -65,13 +52,21 @@ BLOCKED_SWEEPS = True
 _TILE_BUDGET_DIVISOR = 8
 
 
-def blocked_tile_qubits() -> int:
+def blocked_tile_qubits(budget: Optional[int] = None) -> int:
     """Tile width (in qubits) for cache-blocked sweeps, derived from the
-    working-set budget; blocking engages only for states wider than
-    this."""
-    from repro.simulator import sampler  # lazy: sampler imports engines
+    working-set budget (default: the active config's
+    ``batch_max_bytes``); blocking engages only for states wider than
+    this.
 
-    amps = max(4, int(sampler.BATCH_MAX_BYTES) // (16 * _TILE_BUDGET_DIVISOR))
+    Cache-blocked sweeps execute an advance window tile by tile — every
+    item of a sweep segment applies to one cache-resident contiguous
+    tile before the next tile streams in, so a window costs one DRAM
+    pass instead of one per item.  High-order operands are made
+    tile-local by the lazy qubit remap layer
+    (:meth:`~repro.simulator.statevector.StateVector.remap_low`)."""
+    if budget is None:
+        budget = _config.current().batch_max_bytes
+    amps = max(4, int(budget) // (16 * _TILE_BUDGET_DIVISOR))
     return max(2, amps.bit_length() - 1)
 
 
@@ -197,13 +192,13 @@ def _blockable(inst: Instruction) -> bool:
         inst.name not in UNITARY_NOOPS
         and inst.name != "reset"
         and not inst.clbits
-        and len(inst.qubits) <= BLOCK_FUSION_MAX_QUBITS
+        and len(inst.qubits) <= _BLOCK_FUSION_MAX_QUBITS
     )
 
 
 def _merge_blocks(ops, entries):
     """Pass 2: merge maximal runs of adjacent ``("apply", p)`` entries
-    whose qubit union fits :data:`BLOCK_FUSION_MAX_QUBITS`.
+    whose qubit union fits :data:`_BLOCK_FUSION_MAX_QUBITS`.
 
     Entries are already a valid reordering of the window (pass 1 only
     moved commuting diagonals), so merging *adjacent* entries is always
@@ -226,7 +221,7 @@ def _merge_blocks(ops, entries):
         kind, val = entry
         if kind == "apply" and _blockable(ops[val]):
             u = union | set(ops[val].qubits)
-            if block and len(u) > BLOCK_FUSION_MAX_QUBITS:
+            if block and len(u) > _BLOCK_FUSION_MAX_QUBITS:
                 flush()
                 u = set(ops[val].qubits)
             block.append(val)
@@ -238,8 +233,9 @@ def _merge_blocks(ops, entries):
     return out
 
 
-def partition_window(ops):
-    """Value-independent fusion partition of an advance window.
+def partition_window(ops, config: Optional[_config.ExecutionConfig] = None):
+    """Value-independent fusion partition of an advance window under
+    *config*'s fusion passes (default: the active config).
 
     Returns a tuple of entries — ``("apply", pos)`` for a pass-through
     instruction, ``("diag", positions)`` for a fused diagonal table,
@@ -257,9 +253,11 @@ def partition_window(ops):
     structural hash (whose per-instruction diagonality bit pins the
     value-edge cases).
     """
+    if config is None:
+        config = _config.current()
     n = len(ops)
     entries: list = []
-    runs = scan_diagonal_runs(ops) if FUSE_DIAGONAL_RUNS else []
+    runs = scan_diagonal_runs(ops) if config.fuse_diagonal_runs else []
     head = {run[0]: run for run in runs}
     member = {p for run in runs for p in run}
     for p in range(n):
@@ -270,7 +268,7 @@ def partition_window(ops):
                 )
         elif p not in member:
             entries.append(("apply", p))
-    if FUSE_BLOCKS:
+    if config.fuse_blocks:
         entries = _merge_blocks(ops, entries)
     if len(entries) == n:  # every entry a singleton: nothing fused
         return None
@@ -327,10 +325,11 @@ def apply_items(state, items) -> None:
         _apply_single(state, item)
 
 
-def plan_blocked_window(ops, partition, num_qubits, tile_qubits=None):
+def plan_blocked_window(ops, partition, num_qubits, tile_qubits=None, config=None):
     """The cache-blocked sweep schedule of one advance window, or
-    ``None`` when blocking is off, the state fits the tile, or the
-    window is too short to amortize the sweeps.
+    ``None`` when *config* (default: the active config) turns blocking
+    off, the state fits the tile, or the window is too short to amortize
+    the sweeps.  *tile_qubits* defaults to the config's budget tile.
 
     *partition* is the window's fusion partition
     (:func:`partition_window`; ``None`` means every instruction is its
@@ -351,13 +350,15 @@ def plan_blocked_window(ops, partition, num_qubits, tile_qubits=None):
 
     Like :func:`partition_window` the schedule is value-independent
     (names, wires, memoized diagonality only), so the plan cache can
-    memoize it per circuit structure under the options key, which pins
+    memoize it per circuit structure under its config key, which pins
     the toggles and the budget the tile derives from.
     """
-    if not BLOCKED_SWEEPS:
+    if config is None:
+        config = _config.current()
+    if not config.blocked_sweeps:
         return None
     if tile_qubits is None:
-        tile_qubits = blocked_tile_qubits()
+        tile_qubits = blocked_tile_qubits(config.batch_max_bytes)
     if num_qubits <= tile_qubits:
         return None
     if partition is None:
@@ -542,29 +543,30 @@ def _run_blocked_schedule(state, items, schedule, tile_qubits, tile_dim) -> None
                 row[...] = tsv._data  # a kernel rebound the alias
 
 
-def window_program(instructions, start, stop, plan, num_qubits):
+def window_program(instructions, start, stop, plan, num_qubits, config=None):
     """Resolve one advance window into ``(items, schedule)``: the fused
     item list (or ``None`` when nothing fuses) and the blocked sweep
-    schedule (or ``None`` when blocking does not engage).
+    schedule (or ``None`` when blocking does not engage), under *config*
+    (default: the active config).
 
     With a bound plan both come from the cross-request memos; otherwise
     they are re-derived from the same partition code path.  Shared by
     the scalar, span, and batched advance paths so planned and unplanned
     execution stay one code path.
     """
-    fusing = FUSE_DIAGONAL_RUNS or FUSE_BLOCKS
+    if config is None:
+        config = _config.current()
+    fusing = config.fuse_diagonal_runs or config.fuse_blocks
     if plan is not None:
         items = plan.window_items(start, stop) if fusing else None
-        schedule = (
-            plan.window_block_schedule(start, stop) if BLOCKED_SWEEPS else None
-        )
+        schedule = plan.window_block_schedule(start, stop)
     else:
         ops = instructions[start:stop]
-        partition = partition_window(ops) if fusing else None
+        partition = partition_window(ops, config) if fusing else None
         items = (
             materialize_items(ops, partition) if partition is not None else None
         )
-        schedule = plan_blocked_window(ops, partition, num_qubits)
+        schedule = plan_blocked_window(ops, partition, num_qubits, config=config)
     if schedule is not None and items is None:
         # Nothing fused, but the window still blocks: sweep the raw
         # instructions themselves.
@@ -647,6 +649,7 @@ class DenseEngine(ExecutionEngine):
         with _tracing.span(
             "engine.prepare", engine=self.name, qubits=circuit.num_qubits
         ):
+            self._config = _config.current()
             self._state = StateVector(circuit.num_qubits)
 
     def fork(self) -> "DenseEngine":
@@ -655,21 +658,28 @@ class DenseEngine(ExecutionEngine):
         cls = type(self)
         dup = cls.__new__(cls)
         dup.circuit = self.circuit
+        dup._config = self._config
         dup._state = self._state.copy()
         dup._plan = self._plan
         return dup
+
+    def _run_window(self, items, schedule) -> None:
+        if schedule is not None:
+            tile = blocked_tile_qubits(self._config.batch_max_bytes)
+            execute_blocked(self._state, items, schedule, tile)
+        else:
+            apply_items(self._state, items)
 
     def advance(self, ops: Sequence[Instruction]) -> None:
         # Always unplanned: *ops* may be any ad-hoc window, so the
         # plan's (start, stop)-keyed memos do not apply here.
         state = self._state
         if state.use_fast_kernels and len(ops) > 1:
-            items, schedule = window_program(ops, 0, len(ops), None, state.num_qubits)
-            if schedule is not None:
-                execute_blocked(state, items, schedule)
-                return
+            items, schedule = window_program(
+                ops, 0, len(ops), None, state.num_qubits, self._config
+            )
             if items is not None:
-                apply_items(state, items)
+                self._run_window(items, schedule)
                 return
         for inst in ops:
             if inst.name in UNITARY_NOOPS:
@@ -685,13 +695,11 @@ class DenseEngine(ExecutionEngine):
                 # cache; parameter-dependent items were materialized once
                 # for this binding.
                 items, schedule = window_program(
-                    instructions, start, stop, self._plan, state.num_qubits
+                    instructions, start, stop, self._plan, state.num_qubits,
+                    self._config,
                 )
-                if schedule is not None:
-                    execute_blocked(state, items, schedule)
-                    return
                 if items is not None:
-                    apply_items(state, items)
+                    self._run_window(items, schedule)
                     return
             for i in range(start, stop):
                 inst = instructions[i]
@@ -742,8 +750,4 @@ __all__ = [
     "execute_blocked",
     "window_program",
     "blocked_tile_qubits",
-    "FUSE_DIAGONAL_RUNS",
-    "FUSE_BLOCKS",
-    "BLOCKED_SWEEPS",
-    "BLOCK_FUSION_MAX_QUBITS",
 ]

@@ -27,8 +27,9 @@ Gates
   preserve both canonical forms, so no sweep is needed.
 * **2q adjacent** — contract the two site tensors and the gate into a
   ``(D_l·2, 2·D_r)`` block, SVD, and truncate: singular values beyond
-  the bond cap :data:`CHI` are discarded, as are trailing values whose
-  cumulative relative weight stays below :data:`TRUNCATION_THRESHOLD`
+  the bond cap ``chi`` are discarded, as are trailing values whose
+  cumulative relative weight stays below ``truncation_threshold`` (both
+  from the active :class:`~repro.config.ExecutionConfig` by default)
   (plus machine-noise zeros below :data:`ZERO_CUTOFF`).  The discarded
   weight accumulates in :attr:`~MPSState.truncation_error` and the kept
   spectrum is renormalized, so the state stays a unit vector.
@@ -72,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import config as _config
 from repro.circuits import gates as gate_lib
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
@@ -83,20 +85,6 @@ from repro.simulator.noise import QuantumError
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT, StateVector
 from repro.telemetry import tracing as _tracing
 from repro.utils.rng import RandomState, as_rng
-
-#: Default bond-dimension cap.  64 keeps every state of ≤12 qubits exact
-#: (the widest cut of an n-qubit chain is ``2^(n//2)``), which is what
-#: the seeded-parity suites rely on; wide low-entanglement workloads
-#: rarely need more.  Override per block via
-#: ``engine_mode("mps", chi=...)``.
-CHI: int = 64
-
-#: Default truncation threshold: the maximum cumulative *relative*
-#: weight (``Σ s_i² / Σ s²`` of the discarded tail) a single SVD may
-#: drop beyond the ``chi`` cap.  0.0 means "truncate only when the bond
-#: cap forces it" — the exact-parity default.  Override per block via
-#: ``engine_mode("mps", truncation_threshold=...)``.
-TRUNCATION_THRESHOLD: float = 0.0
 
 #: Relative singular-value cutoff for machine-noise zeros: values below
 #: ``s_max · ZERO_CUTOFF`` are always dropped (a rank-2 GHZ cut must
@@ -157,12 +145,15 @@ class MPSState:
         if num_qubits < 1:
             raise SimulationError("state needs at least one qubit")
         self.num_qubits = int(num_qubits)
-        cap = CHI if chi is None else chi
+        config = _config.current()
+        cap = config.chi if chi is None else chi
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise SimulationError(f"bond cap chi must be an integer >= 1, got {cap!r}")
         self.chi = int(cap)
         self.truncation_threshold = float(
-            TRUNCATION_THRESHOLD if truncation_threshold is None else truncation_threshold
+            config.truncation_threshold
+            if truncation_threshold is None
+            else truncation_threshold
         )
         if not 0.0 <= self.truncation_threshold < 1.0:
             raise SimulationError(
@@ -548,10 +539,10 @@ _PAULI_2x2: Dict[str, np.ndarray] = {
 class MPSEngine(ExecutionEngine):
     """Bounded-bond tensor-network backend (any gate, low entanglement).
 
-    Reads the process-global :data:`CHI` / :data:`TRUNCATION_THRESHOLD`
-    knobs at construction (``engine_mode("mps", chi=...,
-    truncation_threshold=...)`` scopes them), so every trajectory of one
-    sampling request shares one truncation contract.
+    Reads ``chi`` / ``truncation_threshold`` from the active config at
+    construction (``engine_mode("mps", chi=..., truncation_threshold=...)``
+    scopes them), so every trajectory of one sampling request shares one
+    truncation contract.
     """
 
     name = "mps"
@@ -566,9 +557,10 @@ class MPSEngine(ExecutionEngine):
         # Every site tensor is at most (chi, 2, chi) complex128; the
         # two-site contraction scratch and the trajectory fork together
         # roughly double that, hence the factor 2 — all under the
-        # process-global cap :data:`CHI` active at admission time.
+        # config's cap active at admission time.
         n = circuit.num_qubits
-        return 2 * n * (2 * CHI * CHI * 16)
+        chi = _config.current().chi
+        return 2 * n * (2 * chi * chi * 16)
 
     def prepare(self, circuit: QuantumCircuit) -> None:
         with _tracing.span(
@@ -681,8 +673,6 @@ __all__ = [
     "MPSEngine",
     "simulate_mps",
     "is_line_like",
-    "CHI",
-    "TRUNCATION_THRESHOLD",
     "TRUNCATION_WARNING_THRESHOLD",
     "LINE_RANGE",
 ]

@@ -101,10 +101,8 @@ class TableauEngine(ExecutionEngine):
 
     def prepare(self, circuit: QuantumCircuit) -> None:
         # The implementation (uint8 vs bit-packed word-parallel) is a
-        # policy decision owned by the stabilizer module: packed at and
-        # above the width threshold, forceable via
-        # ``engine_mode(..., tableau_impl=...)``.  Both are bit-identical
-        # in behaviour, so everything below this line is agnostic.
+        # width policy owned by the stabilizer module.  Both are
+        # bit-identical in behaviour, so everything below is agnostic.
         self._tab = make_tableau(circuit.num_qubits)
         # One factorization per sampling request, shared across forks by
         # reference — see sample()'s shares_structure contract.

@@ -47,6 +47,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple, Type
 
+from repro import config as _config
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import ResourceAdmissionError, SimulationError
 from repro.simulator.counts import Counts
@@ -96,16 +97,13 @@ def reset_counters() -> None:
 # admission control
 # ---------------------------------------------------------------------------
 
-#: Default peak-memory budget: the dense engine's estimated peak at the
-#: dense qubit limit.  Chosen so admission control is invisible to every
-#: request the stack could already serve (a 26-qubit dense run admits
-#: exactly) while anything wider fails fast with a structured error
-#: instead of attempting the allocation.
+#: Default peak-memory budget (the config's ``max_state_bytes=None``):
+#: the dense engine's estimated peak at the dense qubit limit.  Chosen
+#: so admission control is invisible to every request the stack could
+#: already serve (a 26-qubit dense run admits exactly) while anything
+#: wider fails fast with a structured error instead of attempting the
+#: allocation.
 DEFAULT_MAX_STATE_BYTES = 3 * (16 << DENSE_QUBIT_LIMIT)
-
-#: Active peak-memory budget in bytes.  Scope via
-#: ``engine_mode(max_state_bytes=...)`` rather than assigning directly.
-MAX_STATE_BYTES = DEFAULT_MAX_STATE_BYTES
 
 
 @dataclass(frozen=True)
@@ -135,11 +133,10 @@ def estimate_resources(
     *engine_cls* to skip routing when the caller already resolved it.
     Pure prediction — nothing is allocated.
     """
-    from repro.simulator import sampler
     from repro.simulator.engines import select_engine
 
     if mode is None:
-        mode = sampler.ENGINE
+        mode = _config.current().mode
     if engine_cls is None:
         engine_cls = select_engine(mode, circuit)
     peak = engine_cls.estimate_peak_bytes(circuit)
@@ -157,7 +154,8 @@ def check_admission(
     *,
     engine_cls: Optional[Type[ExecutionEngine]] = None,
 ) -> ResourceEstimate:
-    """Admit or reject *circuit* against :data:`MAX_STATE_BYTES`.
+    """Admit or reject *circuit* against the active config's
+    ``max_state_bytes`` budget (default :data:`DEFAULT_MAX_STATE_BYTES`).
 
     Returns the :class:`ResourceEstimate` on admit; raises a structured
     :class:`~repro.errors.ResourceAdmissionError` (and increments the
@@ -167,7 +165,7 @@ def check_admission(
     _faults.fault_point("resilience.admission")
     with _tracing.span("resilience.admission"):
         estimate = estimate_resources(circuit, mode, engine_cls=engine_cls)
-    budget = int(MAX_STATE_BYTES)
+    budget = _config.current().max_state_bytes or DEFAULT_MAX_STATE_BYTES
     if estimate.peak_bytes is not None and estimate.peak_bytes > budget:
         count_event("admission_rejects")
         _tracing.count("resilience.admission_rejects")
@@ -258,7 +256,7 @@ def run_with_fallback(
             "run_with_fallback needs an int seed or None, not a live "
             "Generator: a degradation hop re-runs the request from the start"
         )
-    first = mode if mode is not None else sampler.ENGINE
+    first = mode if mode is not None else _config.current().mode
     chain = (first,) + tuple(FALLBACK_CHAINS.get(first, ()))
     hops = []
     # One run scope spans the whole ladder: each attempt's sampler scope
@@ -331,7 +329,6 @@ __all__ = [
     "FALLBACK_CHAINS",
     "FallbackHop",
     "FallbackResult",
-    "MAX_STATE_BYTES",
     "ResourceEstimate",
     "check_admission",
     "count_event",

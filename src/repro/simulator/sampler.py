@@ -59,28 +59,24 @@ worker count reproduces the same counts.
 
 from __future__ import annotations
 
-import numbers
-import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
+from repro import config as _config
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
-from repro.errors import EngineModeError, SimulationError
+from repro.errors import SimulationError
 from repro.simulator.counts import Counts
 from repro.simulator.engines import (
     DenseEngine,
     ExecutionEngine,
-    TableauEngine,
     inject_into_dense,
     select_engine,
 )
-from repro.simulator.engines import mps as _mps
 from repro.simulator.noise import NoiseModel, QuantumError
 from repro.simulator.statevector import StateVector
-from repro.simulator import stabilizer as _stabilizer
 from repro.telemetry import tracing as _tracing
 from repro.testing import faults as _faults
 from repro.utils.rng import RandomState, as_rng
@@ -111,7 +107,8 @@ def sample_counts(
             f"circuit {circuit.name!r} has no measurements; nothing to sample"
         )
     extra = dict(instruction_errors or {})
-    if WORKERS is not None:
+    config = _config.current()
+    if config.workers is not None:
         # ``engine_mode(workers=...)`` is a documented *semantics*
         # switch (like the MPS ``chi``): shots are split into fixed-size
         # blocks, each drawing from a stream derived from the seed, so
@@ -131,10 +128,10 @@ def sample_counts(
             int(shots),
             noise=noise,
             seed=rng,
-            workers=WORKERS,
+            workers=config.workers,
             instruction_errors=extra,
         )
-    if ENGINE != "baseline":
+    if config.accelerated:
         # Pre-flight admission control: reject an over-budget request
         # with a structured error *before* any state allocation.  The
         # baseline seed path is exempt so its behaviour stays
@@ -143,14 +140,14 @@ def sample_counts(
 
         with _tracing.run_scope(
             "sampler.run",
-            mode=ENGINE,
+            mode=config.mode,
             num_qubits=circuit.num_qubits,
             shots=int(shots),
         ):
-            _tracing.note("mode", ENGINE)
+            _tracing.note("mode", config.mode)
             _tracing.note("num_qubits", circuit.num_qubits)
             _tracing.note("shots", int(shots))
-            estimate = _resilience.check_admission(circuit, ENGINE)
+            estimate = _resilience.check_admission(circuit, config.mode)
             _tracing.note("estimated_peak_bytes", estimate.peak_bytes)
             return _sample_counts_single(
                 circuit, int(shots), noise, as_rng(rng), extra
@@ -168,21 +165,22 @@ def _sample_counts_single(
 ) -> Counts:
     """The classic single-stream driver behind :func:`sample_counts`.
 
-    The sharding layer calls this per block (bypassing the ``WORKERS``
+    The sharding layer calls this per block (bypassing the ``workers``
     delegation), optionally passing *initial* — a precomputed
     ``(amplitudes, position)`` clean-prefix state shared read-only
     across workers — which the grouped walk resumes from instead of
     re-simulating the prefix.
     """
-    engine_cls = select_engine(ENGINE, circuit)
+    config = _config.current()
+    engine_cls = select_engine(config.mode, circuit)
     _tracing.note("engine", engine_cls.name)
-    bound = None if ENGINE == "baseline" else _bound_plan(circuit)
+    bound = _bound_plan(circuit, config)
     if _needs_per_shot(circuit):
         with _tracing.span("sampler.per_shot", shots=shots):
             bits = _sample_per_shot(
                 circuit, shots, noise, r, extra, engine_cls, bound=bound
             )
-    elif not USE_PREFIX_SHARING:
+    elif not config.accelerated:
         bits = _sample_grouped_baseline(circuit, shots, noise, r, extra)
     else:
         with _tracing.span(
@@ -203,9 +201,9 @@ def _sample_counts_single(
     return Counts.from_bit_array(bits)
 
 
-def _bound_plan(circuit: QuantumCircuit):
+def _bound_plan(circuit: QuantumCircuit, config: _config.ExecutionConfig):
     """The request's :class:`~repro.compiler.plans.BoundPlan`, or ``None``
-    when planning is disabled.
+    when planning is off.
 
     One cache lookup (or one cheap plan construction on a miss) per
     request; all heavy per-window analysis inside the plan is lazy and
@@ -216,9 +214,9 @@ def _bound_plan(circuit: QuantumCircuit):
     """
     from repro.compiler import plans as _plans
 
-    if not _plans.PLANS_ENABLED:
+    if not (config.accelerated and config.plans):
         return None
-    return _plans.plan_for(circuit).bind(circuit.instructions)
+    return _plans.plan_for(circuit, config).bind(circuit.instructions)
 
 
 def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
@@ -246,90 +244,19 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-#: Engine toggle used by the perf harness (``scripts/bench.py``) to time
-#: the seed-equivalent baseline; production code leaves it ``True``.
-#: Toggle via :func:`engine_mode` rather than assigning directly.
-USE_PREFIX_SHARING = True
-
-#: Suffix-checkpoint reuse between trajectory groups that share more
-#: than the clean prefix (same leading ``(site, term)`` injections):
-#: the shared post-injection state is forked once and reused instead of
-#: replayed.  RNG streams and visit order are untouched, so seeded
-#: counts are bit-identical either way (pinned by
-#: ``tests/test_sampler.py``); the toggle exists for the equivalence
-#: suite and the perf harness.
-USE_SUFFIX_CHECKPOINTS = True
-
-#: Current engine mode; one of :data:`ENGINE_MODES`.  Set via
-#: :func:`engine_mode` rather than assigning directly.
-ENGINE = "fast"
-
 #: The recognized engine modes (see :func:`engine_mode`).
-ENGINE_MODES = ("baseline", "fast", "batched", "stabilizer", "hybrid", "mps", "auto")
+ENGINE_MODES = _config.MODES
 
-#: Modes under which the ``tableau_impl`` sub-option is meaningful
-#: (those whose routing can reach a stabilizer tableau).
-_TABLEAU_IMPL_MODES = ("fast", "batched", "stabilizer", "hybrid", "auto")
-
-#: Modes under which the MPS sub-options (``chi`` /
-#: ``truncation_threshold``) are meaningful (those whose routing can
-#: reach the MPS engine).
-_MPS_OPTION_MODES = ("mps", "auto")
+#: Minimum trajectory-group count (clean group included) before the
+#: batched grouped walk engages under the ``"batched"`` / ``"auto"``
+#: modes; below it the scalar prefix-sharing walk wins on setup cost.
+#: Counts are bit-identical either side of it.
+_MIN_BATCHED_GROUPS = 4
 
 #: Modes whose grouped walk may engage the batched dense path
 #: (``batched`` explicitly; ``auto`` opportunistically when the route
 #: lands on a dense-family engine).
 _BATCHED_WALK_MODES = ("batched", "auto")
-
-#: Modes under which the ``batch_min_groups`` sub-option is meaningful.
-_BATCH_OPTION_MODES = ("batched", "auto")
-
-#: Modes under which the ``batch_max_bytes`` sub-option is meaningful:
-#: every dense-family route consumes the budget — the batched walk sizes
-#: its chunks from it and the blocked sweep executor derives its tile
-#: width from it (:func:`repro.simulator.engines.dense.blocked_tile_qubits`).
-_BATCH_BYTES_MODES = ("fast", "batched", "hybrid", "auto")
-
-#: Smallest accepted ``batch_max_bytes``: below this a tile would drop
-#: under the fast kernels' useful block sizes.
-_BATCH_BYTES_FLOOR = 1024
-
-#: Modes under which the ``workers`` sub-option is meaningful (the
-#: sharded driver wraps any accelerated route; the ``baseline`` seed
-#: path is deliberately excluded so its stream stays byte-for-byte
-#: historical).
-_WORKERS_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
-
-#: Modes under which the ``max_state_bytes`` sub-option is meaningful:
-#: every accelerated route runs pre-flight admission control
-#: (:mod:`repro.simulator.resilience`); the ``baseline`` seed path never
-#: does, so its failure behaviour stays byte-for-byte historical.
-_ADMISSION_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
-
-#: Modes under which the ``trace`` sub-option is meaningful: every
-#: accelerated route can record spans; the ``baseline`` seed path is
-#: never instrumented so its behaviour stays byte-for-byte historical.
-_TRACE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps", "auto")
-
-#: Minimum trajectory-group count (clean group included) before the
-#: batched grouped walk engages under :data:`_BATCHED_WALK_MODES`; below
-#: it the scalar prefix-sharing walk wins on setup cost.  Set via
-#: ``engine_mode(batch_min_groups=...)``.
-BATCH_MIN_GROUPS = 4
-
-#: Cache-working-set budget, in bytes of stacked amplitudes (16 per),
-#: tunable via ``engine_mode(batch_max_bytes=...)``.  Two consumers:
-#: cache-resident batched-walk chunks are sized to fit it whole, and the
-#: blocked sweep executor derives its tile width from it
-#: (:func:`repro.simulator.engines.dense.blocked_tile_qubits` — 1/8 of
-#: the budget per tile).  This is a **cache** budget, not a RAM budget:
-#: the batched walk's total element work equals the scalar walk's, so
-#: its entire advantage is amortizing per-gate dispatch — and that only
-#: pays while the working set stays resident between gates.  Oversized
-#: chunks evict every row on every gate and run DRAM-bound, *slower*
-#: than the scalar walk whose single state sits in L2 (measured 0.2× at
-#: 16 qubits with a 512 MiB budget vs 2.3× at 10 qubits with this one).
-BATCH_MAX_BYTES = 2 * 1024 * 1024
 
 #: Minimum rows per chunk for the *cache-resident* batched walk to
 #: engage.  Fewer stacked states than this amortize too little dispatch
@@ -357,42 +284,25 @@ _WIDE_CHUNK_ROWS = 4
 #: per-gate noise vs ~1.05× on deep brickwork under sparse noise).
 _WIDE_MIN_WINDOW_OPS = 24
 
-#: Process-pool worker count for shot sharding; ``None`` (the default)
-#: keeps the classic single-stream driver.  When set (via
-#: ``engine_mode(workers=...)``), :func:`sample_counts` delegates to
-#: :mod:`repro.simulator.sharding` — a documented semantics switch:
-#: shots split into fixed-size blocks with per-block seed-derived
-#: streams, identical at every worker count (including 1) but distinct
-#: from the single-stream draw order.
-WORKERS: Optional[int] = None
 
-#: One-shot latch for the ``engine_mode(fast=...)`` deprecation warning.
-_FAST_KEYWORD_WARNED = False
+def __getattr__(name: str):
+    # ``sampler.ENGINE`` reads the active mode; it is not a settable
+    # module variable (install a config through :func:`engine_mode`).
+    if name == "ENGINE":
+        return _config.current().mode
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @contextmanager
-def engine_mode(
-    mode: Optional[str] = None,
-    *,
-    fast: Optional[bool] = None,
-    tableau_impl: Optional[str] = None,
-    chi: Optional[int] = None,
-    truncation_threshold: Optional[float] = None,
-    batch_min_groups: Optional[int] = None,
-    batch_max_bytes: Optional[int] = None,
-    workers: Optional[int] = None,
-    max_state_bytes: Optional[int] = None,
-    trace: Optional[bool] = None,
-    **unknown_options: object,
-) -> Iterator[None]:
-    """Select the simulation engine for the dynamic extent of the block.
+def engine_mode(mode: str, **options: object) -> Iterator[_config.ExecutionConfig]:
+    """Run the block under *mode* with *options* overriding the active
+    :class:`~repro.config.ExecutionConfig`; yields the installed config.
 
-    A thin facade over the execution-engine registry
-    (:mod:`repro.simulator.engines`): the mode string is stored in the
-    process-global knobs (:attr:`StateVector.use_fast_kernels`,
-    :data:`USE_PREFIX_SHARING`, :data:`ENGINE`) that
-    :func:`~repro.simulator.engines.select_engine` routes from, and all
-    previous values are restored on exit.  Modes:
+    A thin shim over :mod:`repro.config`: the new config is derived from
+    the active one (fields not named are inherited, so nested blocks
+    keep what they do not override), validated, and installed in a
+    context variable — concurrent threads each see their own.  The
+    previous config is restored on exit, also on an exception.  Modes:
 
     ``"fast"`` (the default)
         Specialized state-vector kernels + trajectory prefix-sharing.
@@ -400,18 +310,15 @@ def engine_mode(
         through the stabilizer tableau automatically.
     ``"baseline"``
         The seed engine: generic ``moveaxis`` kernels, from-scratch
-        trajectory groups, no stabilizer dispatch.  The "before" lane of
-        the perf harness.
+        trajectory groups, no stabilizer dispatch, no admission control,
+        plans or tracing.  The "before" lane of the perf harness.
     ``"batched"``
         The fast dense route with the batched grouped walk: when a run
-        produces at least :data:`BATCH_MIN_GROUPS` trajectory groups,
-        their states are stacked into one ``(rows, 2^n)`` array and
-        every lockstep window advances all of them in a single kernel
-        call per gate (:mod:`repro.simulator.batched`).  RNG draw order
-        is unchanged, so seeded counts match the scalar ``"fast"``
-        engine.  Clifford circuits wider than the dense limit still
-        route to the tableau; per-shot circuits fall back to the scalar
-        path automatically.
+        produces enough trajectory groups, their states are stacked into
+        one ``(rows, 2^n)`` array and every lockstep window advances all
+        of them in a single kernel call per gate
+        (:mod:`repro.simulator.batched`).  RNG draw order is unchanged,
+        so seeded counts match the scalar ``"fast"`` engine.
     ``"stabilizer"``
         Route every Clifford-only circuit through the tableau backend
         (:mod:`repro.simulator.stabilizer`) regardless of width;
@@ -421,282 +328,27 @@ def engine_mode(
         (:class:`~repro.simulator.engines.hybrid.HybridSegmentEngine`):
         the maximal Clifford prefix runs on a tableau and hands off to
         (sparse, then dense) amplitudes at the first non-Clifford gate.
-        Clifford circuits route to the tableau, circuits with no
-        Clifford prefix to the dense engine.
     ``"mps"``
         The bounded-bond matrix-product-state engine
         (:class:`~repro.simulator.engines.mps.MPSEngine`) for every
-        circuit: low-entanglement workloads run far beyond the dense
-        limit at ``O(n · chi³)`` per gate.
+        circuit, truncating at ``chi`` / ``truncation_threshold``.
     ``"auto"``
         Best-known routing per circuit: tableau for Clifford circuits;
         beyond the dense limit, hybrid for guaranteed-sparse tails and
         MPS for line-like circuits; at dense widths, hybrid when the
         Clifford prefix contains entangling structure, dense otherwise.
 
-    The keyword-only *tableau_impl* sub-option selects the stabilizer
-    tableau implementation for the block: ``"auto"`` (the default
-    policy — bit-packed at and above
-    :data:`repro.simulator.stabilizer.PACKED_TABLEAU_THRESHOLD` qubits),
-    ``"packed"``, or ``"unpacked"``.  Both implementations are
-    bit-identical in behaviour (same seeded counts, same RNG streams),
-    so this is a performance policy, not a semantics switch; the perf
-    harness uses it to pit the two against each other.
-
-    The keyword-only *chi* and *truncation_threshold* sub-options scope
-    the MPS engine's truncation contract for the block
-    (:data:`repro.simulator.engines.mps.CHI` — the bond-dimension cap —
-    and :data:`~repro.simulator.engines.mps.TRUNCATION_THRESHOLD` — the
-    maximum relative weight one SVD may drop beyond the cap).  Unlike
-    ``tableau_impl`` these *do* change semantics: a saturated cap
-    truncates the state, with the discarded weight reported on the
-    engine (``MPSEngine.truncation_error``).
-
-    The keyword-only *batch_min_groups* sub-option tunes the batched
-    walk's engagement threshold (:data:`BATCH_MIN_GROUPS`) for the
-    block; it applies only to the ``"batched"`` / ``"auto"`` modes.
-    Like ``tableau_impl`` it is a performance policy, not a semantics
-    switch: counts are bit-identical above or below the threshold.
-
-    The keyword-only *batch_max_bytes* sub-option tunes the
-    cache-working-set budget (:data:`BATCH_MAX_BYTES`) for the block:
-    batched-walk chunk sizing and the blocked sweep executor's tile
-    width both derive from it, so it applies to every dense-family mode
-    (``"fast"`` / ``"batched"`` / ``"hybrid"`` / ``"auto"``).  Also a
-    performance policy, not a semantics switch — seeded counts are
-    bit-identical at any budget (pinned by ``tests/test_blocked.py``);
-    the equivalence suite shrinks it to force blocked sweeps at test
-    widths.
-
-    The keyword-only *workers* sub-option (any accelerated mode) routes
-    :func:`sample_counts` through the process-pool sharding layer
-    (:mod:`repro.simulator.sharding`) with that many workers.  Like
-    ``chi`` this **does** change the stream contract: shots are split
-    into fixed-size blocks, each drawing from a stream derived from the
-    seed via the stable SHA-256 ``child_rng``, so counts are identical
-    at every worker count (``workers=1`` included) but differ from the
-    single-stream draw order.  Live generators are rejected under
-    sharding for exactly that reason.
-
-    The keyword-only *max_state_bytes* sub-option (any accelerated mode)
-    scopes the pre-flight admission-control budget
-    (:data:`repro.simulator.resilience.MAX_STATE_BYTES`) for the block:
-    a request whose routed engine estimates a peak footprint above the
-    budget raises a structured
-    :class:`~repro.errors.ResourceAdmissionError` **before any state
-    allocation**.  The default budget admits everything the stack could
-    historically serve (the dense peak at the dense qubit limit), so
-    this sub-option only ever tightens or relaxes that envelope; counts
-    of admitted requests are unaffected.
-
-    The keyword-only *trace* sub-option (any accelerated mode) toggles
-    the execution flight recorder
-    (:mod:`repro.telemetry.tracing`) for the block: every sampling run
-    records hierarchical phase spans and counters and yields a
-    structured :class:`~repro.telemetry.tracing.ExecutionReport`
-    (``tracing.last_report()``).  Tracing never draws random numbers and
-    never changes instruction visit order, so seeded counts are
-    bit-identical with tracing on or off (pinned across the engine
-    matrix and in the differential fuzz suite); the ``"baseline"`` seed
-    path is never instrumented.
-
-    Every sub-option is validated **for the selected mode**: a
-    sub-option that the mode's routing can never consume
-    (``tableau_impl`` outside tableau-capable modes, ``chi`` /
-    ``truncation_threshold`` outside ``"mps"`` / ``"auto"``,
-    ``batch_min_groups`` outside ``"batched"`` / ``"auto"``,
-    ``batch_max_bytes`` outside the dense-family modes,
-    ``workers`` / ``max_state_bytes`` / ``trace`` under ``"baseline"``)
-    is rejected rather than silently ignored, as is any unrecognized
-    keyword.
-
-    An invalid *mode* or sub-option raises
-    :class:`~repro.errors.EngineModeError` (a :class:`ValueError`)
-    **before** any global state is touched, so a failed call can never
-    leave the knobs partially set.
-
-    The boolean keyword form ``engine_mode(fast=True/False)`` is the
-    pre-stabilizer spelling, maps to ``"fast"`` / ``"baseline"``, and is
-    deprecated (one :class:`DeprecationWarning` per process).
+    *options* are :class:`~repro.config.ExecutionConfig` fields (``chi``,
+    ``truncation_threshold``, ``batch_max_bytes``, ``workers``,
+    ``max_state_bytes``, ``trace`` and the reference-path toggles).  An
+    option passed as ``None`` is treated as not given.  An unknown
+    option, one the mode's routing can never consume, or an invalid
+    value raises :class:`~repro.errors.EngineModeError` (a
+    :class:`ValueError`) before anything is installed.
     """
-    global _FAST_KEYWORD_WARNED
-    if unknown_options:
-        # Hygiene: an unrecognized sub-option must fail loudly instead
-        # of silently configuring nothing (a typo like ``ci=64`` would
-        # otherwise run the whole block on defaults).
-        names = ", ".join(sorted(unknown_options))
-        raise EngineModeError(
-            f"unknown engine_mode sub-option(s): {names}; recognized "
-            "sub-options are tableau_impl, chi, truncation_threshold, "
-            "batch_min_groups, batch_max_bytes, workers, max_state_bytes, "
-            "trace"
-        )
-    if fast is not None:
-        if mode is not None:
-            raise EngineModeError("pass either mode or fast=, not both")
-        if not _FAST_KEYWORD_WARNED:
-            warnings.warn(
-                "engine_mode(fast=...) is deprecated; pass a mode string "
-                "('fast' / 'baseline') instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            _FAST_KEYWORD_WARNED = True
-        mode = "fast" if fast else "baseline"
-    if mode not in ENGINE_MODES:
-        raise EngineModeError(
-            f"unknown engine mode {mode!r}; expected one of {ENGINE_MODES}"
-        )
-    if tableau_impl is not None:
-        if mode not in _TABLEAU_IMPL_MODES:
-            raise EngineModeError(
-                f"tableau_impl is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_TABLEAU_IMPL_MODES}"
-            )
-        if tableau_impl not in _stabilizer.TABLEAU_IMPLS:
-            raise EngineModeError(
-                f"unknown tableau implementation {tableau_impl!r}; expected "
-                f"one of {_stabilizer.TABLEAU_IMPLS}"
-            )
-    if chi is not None or truncation_threshold is not None:
-        if mode not in _MPS_OPTION_MODES:
-            raise EngineModeError(
-                "chi / truncation_threshold are not sub-options of engine "
-                f"mode {mode!r}; they apply to {_MPS_OPTION_MODES}"
-            )
-    if chi is not None and (
-        isinstance(chi, bool) or not isinstance(chi, numbers.Integral) or chi < 1
-    ):
-        # bool is an int subclass (True would silently mean chi=1), and
-        # numpy integers from sweep/config code are perfectly valid.
-        raise EngineModeError(f"bond cap chi must be an integer >= 1, got {chi!r}")
-    if truncation_threshold is not None and not (
-        0.0 <= float(truncation_threshold) < 1.0
-    ):
-        raise EngineModeError(
-            f"truncation_threshold must lie in [0, 1), got {truncation_threshold!r}"
-        )
-    if batch_min_groups is not None:
-        if mode not in _BATCH_OPTION_MODES:
-            raise EngineModeError(
-                f"batch_min_groups is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_BATCH_OPTION_MODES}"
-            )
-        if (
-            isinstance(batch_min_groups, bool)
-            or not isinstance(batch_min_groups, numbers.Integral)
-            or batch_min_groups < 1
-        ):
-            raise EngineModeError(
-                f"batch_min_groups must be an integer >= 1, got {batch_min_groups!r}"
-            )
-    if batch_max_bytes is not None:
-        if mode not in _BATCH_BYTES_MODES:
-            raise EngineModeError(
-                f"batch_max_bytes is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_BATCH_BYTES_MODES}"
-            )
-        if (
-            isinstance(batch_max_bytes, bool)
-            or not isinstance(batch_max_bytes, numbers.Integral)
-            or batch_max_bytes < _BATCH_BYTES_FLOOR
-        ):
-            raise EngineModeError(
-                f"batch_max_bytes must be an integer >= {_BATCH_BYTES_FLOOR}, "
-                f"got {batch_max_bytes!r}"
-            )
-    if workers is not None:
-        if mode not in _WORKERS_MODES:
-            raise EngineModeError(
-                f"workers is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_WORKERS_MODES}"
-            )
-        if (
-            isinstance(workers, bool)
-            or not isinstance(workers, numbers.Integral)
-            or workers < 1
-        ):
-            raise EngineModeError(
-                f"workers must be an integer >= 1, got {workers!r}"
-            )
-    if max_state_bytes is not None:
-        if mode not in _ADMISSION_MODES:
-            raise EngineModeError(
-                f"max_state_bytes is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_ADMISSION_MODES}"
-            )
-        if (
-            isinstance(max_state_bytes, bool)
-            or not isinstance(max_state_bytes, numbers.Integral)
-            or max_state_bytes < 1
-        ):
-            raise EngineModeError(
-                f"max_state_bytes must be an integer >= 1, got {max_state_bytes!r}"
-            )
-    if trace is not None:
-        if mode not in _TRACE_MODES:
-            raise EngineModeError(
-                f"trace is not a sub-option of engine mode {mode!r}; "
-                f"it applies to {_TRACE_MODES}"
-            )
-        if not isinstance(trace, bool):
-            raise EngineModeError(f"trace must be a bool, got {trace!r}")
-    # Validation is complete — only now may globals be mutated.
-    from repro.simulator import resilience as _resilience
-
-    global USE_PREFIX_SHARING, ENGINE, BATCH_MIN_GROUPS, BATCH_MAX_BYTES, WORKERS
-    prev_engine = ENGINE
-    prev_kernels = StateVector.use_fast_kernels
-    prev_prefix = USE_PREFIX_SHARING
-    prev_impl = _stabilizer.TABLEAU_IMPL
-    prev_chi = _mps.CHI
-    prev_threshold = _mps.TRUNCATION_THRESHOLD
-    prev_batch_min = BATCH_MIN_GROUPS
-    prev_batch_bytes = BATCH_MAX_BYTES
-    prev_workers = WORKERS
-    prev_budget = _resilience.MAX_STATE_BYTES
-    prev_trace = _tracing.ENABLED
-    accelerated = mode != "baseline"
-    ENGINE = mode
-    StateVector.use_fast_kernels = accelerated
-    USE_PREFIX_SHARING = accelerated
-    if tableau_impl is not None:
-        _stabilizer.TABLEAU_IMPL = tableau_impl
-    if chi is not None:
-        _mps.CHI = int(chi)
-    if truncation_threshold is not None:
-        _mps.TRUNCATION_THRESHOLD = float(truncation_threshold)
-    if batch_min_groups is not None:
-        BATCH_MIN_GROUPS = int(batch_min_groups)
-    if batch_max_bytes is not None:
-        BATCH_MAX_BYTES = int(batch_max_bytes)
-    if workers is not None:
-        WORKERS = int(workers)
-    if max_state_bytes is not None:
-        _resilience.MAX_STATE_BYTES = int(max_state_bytes)
-    if trace is not None:
-        _tracing.ENABLED = trace
-    try:
-        yield
-    finally:
-        ENGINE = prev_engine
-        StateVector.use_fast_kernels = prev_kernels
-        USE_PREFIX_SHARING = prev_prefix
-        _stabilizer.TABLEAU_IMPL = prev_impl
-        _mps.CHI = prev_chi
-        _mps.TRUNCATION_THRESHOLD = prev_threshold
-        BATCH_MIN_GROUPS = prev_batch_min
-        BATCH_MAX_BYTES = prev_batch_bytes
-        WORKERS = prev_workers
-        _resilience.MAX_STATE_BYTES = prev_budget
-        _tracing.ENABLED = prev_trace
-
-
-def _route_to_stabilizer(circuit: QuantumCircuit) -> bool:
-    """Dispatch predicate: does the active mode route this circuit to
-    the pure-tableau backend?  (Kept for the dispatch test suite; the
-    sampler itself asks :func:`select_engine` directly.)"""
-    return select_engine(ENGINE, circuit) is TableauEngine
+    given = {name: value for name, value in options.items() if value is not None}
+    with _config.use(_config.current().derive(mode, **given)) as config:
+        yield config
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +462,7 @@ def _sample_grouped(
     Beyond the clean prefix, consecutive groups often share *injected*
     structure too: multi-error realizations drawn from the same early
     error site agree on their leading ``(site, term)`` pairs.  When
-    :data:`USE_SUFFIX_CHECKPOINTS` is on, the walk forks a checkpoint of
+    the config's ``suffix_checkpoints`` is on, the walk forks a checkpoint of
     the state right after each shared injection (only at depths the
     *next* visited group actually shares, so single-error groups — the
     overwhelming majority — pay nothing) and the next group resumes from
@@ -819,8 +471,10 @@ def _sample_grouped(
     visit order is unchanged, so seeded streams are bit-identical with
     the optimization on or off.
     """
+    config = _config.current()
     if engine_cls is None:
-        engine_cls = select_engine(ENGINE, circuit)
+        engine_cls = select_engine(config.mode, circuit)
+    checkpoints = config.suffix_checkpoints
     noisy = _noisy_ops(circuit, noise, extra)
     errors = dict(noisy)
     with _tracing.span("sampler.realizations", shots=shots):
@@ -847,9 +501,9 @@ def _sample_grouped(
     # Engines treat qubits=None as "full register in index order" — the
     # same bits, minus a per-group column-selection copy in every engine.
     sample_qubits = None if qubits == list(range(circuit.num_qubits)) else qubits
-    if _use_batched_walk(engine_cls, circuit, len(ordered), ordered=ordered):
+    if _use_batched_walk(engine_cls, circuit, len(ordered), ordered, config):
         return _grouped_batched_walk(
-            circuit, shots, ordered, errors, rng, prefix, prefix_pos, bound=bound
+            circuit, shots, ordered, errors, rng, prefix, prefix_pos, bound, config
         )
     # One preallocated output filled in visit order — row order (and
     # therefore the readout-noise RNG pairing downstream) is identical
@@ -893,7 +547,7 @@ def _sample_grouped(
                     instructions[first], errors[first], key[0][1]
                 )
                 depth = 1
-                if USE_SUFFIX_CHECKPOINTS and next_key[:1] == key[:1]:
+                if checkpoints and next_key[:1] == key[:1]:
                     new_ckpts[1] = (state.fork(), shares_structure)
             # Checkpoints shallower than the resume depth stay valid for
             # the next group iff it still shares that much of this key.
@@ -907,7 +561,7 @@ def _sample_grouped(
                 )
                 prev = site
                 depth += 1
-                if USE_SUFFIX_CHECKPOINTS and next_key[:depth] == key[:depth]:
+                if checkpoints and next_key[:depth] == key[:depth]:
                     new_ckpts[depth] = (state.fork(), shares_structure)
             state.advance_span(instructions, prev + 1, end)
             ckpts = new_ckpts
@@ -949,17 +603,18 @@ def _use_batched_walk(
     circuit: QuantumCircuit,
     group_count: int,
     ordered=None,
+    config: Optional[_config.ExecutionConfig] = None,
 ) -> bool:
     """Whether the grouped walk should run batched for this request.
 
     Requires a batched-capable mode, a dense-family route (the tableau,
-    hybrid and MPS backends keep the scalar walk), enough trajectory
-    groups to amortize the batch setup, and a width the walk can serve
-    efficiently.  Two regimes qualify:
+    hybrid and MPS backends keep the scalar walk), at least
+    :data:`_MIN_BATCHED_GROUPS` trajectory groups to amortize the batch
+    setup, and a width the walk can serve efficiently.  Two regimes qualify:
 
     * **cache-resident** — the register is narrow enough that
       :data:`_BATCH_MIN_CHUNK_ROWS` stacked states fit the
-      cache-working-set budget (see :data:`BATCH_MAX_BYTES`); or
+      config's cache-working-set budget (``batch_max_bytes``); or
     * **blocked wide** — the register is wider than the blocked sweep
       executor's tile
       (:func:`repro.simulator.engines.dense.blocked_tile_qubits`),
@@ -974,20 +629,22 @@ def _use_batched_walk(
     wider than a tile) keeps the scalar walk, which is cache-resident
     there by construction.
     """
+    if config is None:
+        config = _config.current()
     if not (
-        ENGINE in _BATCHED_WALK_MODES
+        config.mode in _BATCHED_WALK_MODES
         and issubclass(engine_cls, DenseEngine)
-        and StateVector.use_fast_kernels
-        and group_count >= BATCH_MIN_GROUPS
+        and group_count >= _MIN_BATCHED_GROUPS
     ):
         return False
-    if (16 << circuit.num_qubits) * _BATCH_MIN_CHUNK_ROWS <= BATCH_MAX_BYTES:
+    budget = config.batch_max_bytes
+    if (16 << circuit.num_qubits) * _BATCH_MIN_CHUNK_ROWS <= budget:
         return True
     from repro.simulator.engines import dense as _dense_mod
 
     if not (
-        bool(_dense_mod.BLOCKED_SWEEPS)
-        and circuit.num_qubits > _dense_mod.blocked_tile_qubits()
+        config.blocked_sweeps
+        and circuit.num_qubits > _dense_mod.blocked_tile_qubits(budget)
     ):
         return False
     return (
@@ -1003,14 +660,15 @@ def _grouped_batched_walk(
     rng: np.random.Generator,
     prefix: ExecutionEngine,
     prefix_pos: int,
-    bound=None,
+    bound,
+    config: _config.ExecutionConfig,
 ) -> np.ndarray:
     """The batched grouped walk: every trajectory group in one kernel
     call per lockstep window.
 
     Groups arrive in first-error-site order (*ordered*, the same visit
     order as the scalar walk, clean group last).  Noisy groups are
-    stacked — in visit-order chunks bounded by :data:`BATCH_MAX_BYTES` —
+    stacked — in visit-order chunks bounded by ``batch_max_bytes`` —
     into a :class:`~repro.simulator.batched.BatchedStateVector`; within
     a chunk, the union of the groups' injection sites delimits the
     lockstep windows.  At each window boundary the active rows advance
@@ -1052,10 +710,11 @@ def _grouped_batched_walk(
     noisy_groups = [kv for kv in ordered if kv[0]]
     n = circuit.num_qubits
     row_bytes = 16 << n
-    if row_bytes * _BATCH_MIN_CHUNK_ROWS <= BATCH_MAX_BYTES:
+    budget = config.batch_max_bytes
+    if row_bytes * _BATCH_MIN_CHUNK_ROWS <= budget:
         # Cache-resident regime: the whole chunk stays inside the
         # working-set budget.
-        rows_per_chunk = max(2, BATCH_MAX_BYTES // row_bytes)
+        rows_per_chunk = max(2, budget // row_bytes)
     else:
         # Blocked-wide regime: residency comes from the tile sweep, not
         # the chunk size; chunks stay small so the union of their rows'
@@ -1081,7 +740,7 @@ def _grouped_batched_walk(
             stop = site + 1
             if active:
                 BatchedDenseEngine.advance_batch_span(
-                    batch.narrow(active), instructions, batch_pos, stop, plan=bound
+                    batch.narrow(active), instructions, batch_pos, stop, bound, config
                 )
             for i, term in joins.get(site, ()):
                 if prefix_pos < stop:
@@ -1099,7 +758,7 @@ def _grouped_batched_walk(
             batch_pos = stop
         if chunk:
             BatchedDenseEngine.advance_batch_span(
-                batch, instructions, batch_pos, end, plan=bound
+                batch, instructions, batch_pos, end, bound, config
             )
         cdfs = batch.cdfs() if chunk else None
         for i, (key, group_shots) in enumerate(chunk):
@@ -1151,7 +810,7 @@ def _sample_per_shot(
     per-instruction loop.
     """
     if engine_cls is None:
-        engine_cls = select_engine(ENGINE, circuit)
+        engine_cls = select_engine(_config.current().mode, circuit)
     noisy = dict(_noisy_ops(circuit, noise, extra))
     instructions = list(circuit)
     width = circuit.num_clbits

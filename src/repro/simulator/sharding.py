@@ -66,10 +66,12 @@ of sampling from garbage — counts are identical either way, by the same
 contract.  The inline (``workers=1``) path uses the same precomputed
 prefix, so pooled and inline runs see bit-identical inputs.
 
-Workers are forked (POSIX), so they inherit the parent's engine-mode
-globals at pool creation; on platforms without ``fork`` the driver
-degrades to the inline path, which is always available and produces the
-same counts.
+Every block task carries the parent's frozen
+:class:`~repro.config.ExecutionConfig`, and the worker installs it for
+the block, so a worker runs under exactly the config of the request
+that submitted it — never under whatever was active when the pool was
+forked.  On platforms without ``fork`` the driver degrades to the inline
+path, which is always available and produces the same counts.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro import config as _config
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import SimulationError
 from repro.simulator.counts import Counts
@@ -154,11 +157,12 @@ def _clean_prefix_state(
     """
     from repro.simulator import sampler
 
-    if not sampler.USE_PREFIX_SHARING or sampler._needs_per_shot(circuit):
+    config = _config.current()
+    if not config.accelerated or sampler._needs_per_shot(circuit):
         return None
     if circuit.num_qubits > DENSE_QUBIT_LIMIT:
         return None
-    engine_cls = select_engine(sampler.ENGINE, circuit)
+    engine_cls = select_engine(config.mode, circuit)
     if not issubclass(engine_cls, DenseEngine):
         return None
     noisy = sampler._noisy_ops(circuit, noise, extra)
@@ -264,24 +268,26 @@ def _init_worker(shm_name: Optional[str], num_qubits: int, position: int) -> Non
 def _run_block(task: Tuple):
     """Sample one block in a worker (or inline) process.
 
-    Returns the block's :class:`Counts` — or, when tracing is enabled,
+    The block runs under the config shipped in its task.  Returns the
+    block's :class:`Counts` — or, when that config traces,
     ``(Counts, span summary)``: each completed block carries its own
     picklable trace digest home, so the parent-side report stays
     complete even when other workers of the same pool were killed."""
-    circuit, block_shots, noise, base, index, extra = task
+    circuit, block_shots, noise, base, index, extra, config = task
     from repro.simulator import sampler
 
     _faults.fault_point("shard.block", index)
     rng = child_rng(base, "shard", index)
-    if not _tracing.ENABLED or sampler.ENGINE == "baseline":
-        return sampler._sample_counts_single(
-            circuit, block_shots, noise, rng, extra, initial=_WORKER_PREFIX
-        )
-    with _tracing.block_trace() as tracer:
-        with tracer.span("shard.block", index=index, shots=block_shots):
-            counts = sampler._sample_counts_single(
+    with _config.use(config):
+        if not (config.trace and config.accelerated):
+            return sampler._sample_counts_single(
                 circuit, block_shots, noise, rng, extra, initial=_WORKER_PREFIX
             )
+        with _tracing.block_trace() as tracer:
+            with tracer.span("shard.block", index=index, shots=block_shots):
+                counts = sampler._sample_counts_single(
+                    circuit, block_shots, noise, rng, extra, initial=_WORKER_PREFIX
+                )
     return counts, tracer.summary()
 
 
@@ -446,7 +452,7 @@ def sample_counts_sharded(
     *seed* must be an ``int`` or ``None`` (``None`` draws a fresh base
     seed once, then shards deterministically from it).
     """
-    from repro.simulator import resilience, sampler
+    from repro.simulator import resilience
 
     if isinstance(seed, np.random.Generator):
         raise SimulationError(
@@ -465,17 +471,18 @@ def sample_counts_sharded(
     bs = int(block_shots) if block_shots is not None else SHARD_BLOCK_SHOTS
     if bs < 1:
         raise SimulationError(f"block_shots must be >= 1, got {block_shots!r}")
+    config = _config.current()
     with _tracing.run_scope(
         "sampler.sharded",
-        mode=sampler.ENGINE,
+        mode=config.mode,
         num_qubits=circuit.num_qubits,
         shots=int(shots),
         workers=int(workers),
     ):
-        _tracing.note("mode", sampler.ENGINE)
+        _tracing.note("mode", config.mode)
         _tracing.note("num_qubits", circuit.num_qubits)
         _tracing.note("shots", int(shots))
-        estimate = resilience.check_admission(circuit, sampler.ENGINE)
+        estimate = resilience.check_admission(circuit, config.mode)
         _tracing.note("engine", estimate.engine)
         _tracing.note("estimated_peak_bytes", estimate.peak_bytes)
         sizes = _block_sizes(shots, bs)
@@ -486,7 +493,7 @@ def sample_counts_sharded(
         with _tracing.span("shard.prefix"):
             prefix = _clean_prefix_state(circuit, noise, extra)
         tasks = [
-            (circuit, size, noise, base, index, extra)
+            (circuit, size, noise, base, index, extra, config)
             for index, size in enumerate(sizes)
         ]
         effective = min(int(workers), len(sizes))

@@ -62,43 +62,23 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 _EXACT_COSET_BITS = 48
 
 #: Width at which :func:`make_tableau` switches from the uint8 tableau to
-#: the bit-packed word-parallel one under the ``"auto"`` policy.  Below
-#: it the two implementations are within noise of each other (numpy
-#: dispatch overhead dominates either way); above it the packed
-#: representation's O(1) big-int conjugations and word-wide coset
-#: elimination win by growing margins — see ``docs/architecture.md``.
+#: the bit-packed word-parallel one.  Packed wins from ~12 qubits up
+#: (0.73× the uint8 time at 12q, 0.34× at 40q on noisy GHZ sampling) but
+#: loses at 2q (1.2×), so the switch stays a width policy rather than
+#: packed everywhere; the value predates that measurement.
 PACKED_TABLEAU_THRESHOLD = 64
 
-#: Process-global tableau implementation policy: ``"auto"`` (packed at
-#: and above :data:`PACKED_TABLEAU_THRESHOLD`), ``"packed"``, or
-#: ``"unpacked"``.  Toggle via ``engine_mode(..., tableau_impl=...)``
-#: rather than assigning directly.
-TABLEAU_IMPL = "auto"
 
-#: The recognized tableau implementation policies.
-TABLEAU_IMPLS = ("auto", "packed", "unpacked")
-
-
-def make_tableau(num_qubits: int, impl: Optional[str] = None):
-    """Construct a fresh ``|0…0⟩`` tableau under the active implementation
-    policy.
+def make_tableau(num_qubits: int):
+    """Construct a fresh ``|0…0⟩`` tableau, picked by width.
 
     The factory behind :class:`~repro.simulator.engines.tableau.TableauEngine`:
-    returns a :class:`Tableau` or a
-    :class:`~repro.simulator.stabilizer_packed.PackedTableau` depending on
-    *impl* (default: the process-global :data:`TABLEAU_IMPL`).  Both
-    implementations are bit-identical in behaviour, so the choice is purely
-    a performance policy.
+    a :class:`~repro.simulator.stabilizer_packed.PackedTableau` at and
+    above :data:`PACKED_TABLEAU_THRESHOLD` qubits, a :class:`Tableau`
+    below.  Both implementations are bit-identical in behaviour, so the
+    choice is purely a performance policy.
     """
-    if impl is None:
-        impl = TABLEAU_IMPL
-    if impl not in TABLEAU_IMPLS:
-        raise SimulationError(
-            f"unknown tableau implementation {impl!r}; expected one of {TABLEAU_IMPLS}"
-        )
-    if impl == "packed" or (
-        impl == "auto" and num_qubits >= PACKED_TABLEAU_THRESHOLD
-    ):
+    if num_qubits >= PACKED_TABLEAU_THRESHOLD:
         from repro.simulator.stabilizer_packed import PackedTableau
 
         return PackedTableau(num_qubits)
@@ -797,5 +777,4 @@ __all__ = [
     "simulate_tableau",
     "ghz_tableau",
     "PACKED_TABLEAU_THRESHOLD",
-    "TABLEAU_IMPLS",
 ]

@@ -25,10 +25,10 @@ kernel that handles it:
   entirely, so permutation-like gates touch only the slices they move.
 * **generic fallback** (:meth:`StateVector.apply_matrix_generic`): the
   original ``moveaxis``-based contraction, kept for k-qubit operators
-  and as the equivalence-test reference.  Setting the class attribute
-  :attr:`StateVector.use_fast_kernels` to ``False`` forces every
-  application through it (the perf harness uses this to measure the
-  seed-engine baseline).
+  and as the equivalence-test reference.  A state created under the
+  ``"baseline"`` engine mode has :attr:`StateVector.use_fast_kernels`
+  off, forcing every application through it (the perf harness uses
+  this to measure the seed-engine baseline).
 
 Measurement helpers (:meth:`marginal_probability_one`,
 :meth:`collapse`) operate on the same bit-sliced views and never
@@ -49,6 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import config as _config
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import SimulationError
@@ -166,6 +167,7 @@ class StateVector:
                 f"({DENSE_QUBIT_LIMIT})"
             )
         self.num_qubits = int(num_qubits)
+        self.use_fast_kernels = _config.current().accelerated
         dim = 1 << self.num_qubits
         if data is None:
             self._data = np.zeros(dim, dtype=complex)
@@ -201,6 +203,7 @@ class StateVector:
         # validation branch).
         dup = StateVector.__new__(StateVector)
         dup.num_qubits = self.num_qubits
+        dup.use_fast_kernels = self.use_fast_kernels
         dup._data = self._data.copy()
         dup._perm = self._perm  # forks stay lazily remapped
         return dup
@@ -292,10 +295,11 @@ class StateVector:
             )
         return self.num_qubits - 1 - qubit
 
-    #: Class-level dispatch switch: ``True`` routes 1q/2q operators to the
-    #: specialized in-place kernels; ``False`` forces everything through
-    #: :meth:`apply_matrix_generic` (the perf harness toggles this to time
-    #: the seed-engine baseline).
+    #: Dispatch switch, fixed when the state is created: ``True`` routes
+    #: 1q/2q operators to the specialized in-place kernels; ``False``
+    #: (states created under the ``"baseline"`` mode) forces everything
+    #: through :meth:`apply_matrix_generic`.  The class-level default
+    #: covers ``__new__``-based aliases (tiles, batch row views).
     use_fast_kernels: bool = True
 
     def apply_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> "StateVector":

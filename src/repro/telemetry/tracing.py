@@ -13,11 +13,14 @@ Design constraints, in order of importance:
    with tracing on or off.
 2. **Near-zero cost when off.** ``span()`` returns a single shared
    no-op context manager when no tracer is active (no allocation, no
-   branch beyond one global load), and ``count``/``note`` return
-   immediately.  The ``"baseline"`` engine mode is *never* traced.
-3. **Fork-safe.** The active tracer lives in a module global (the same
-   pattern :mod:`repro.testing.faults` uses for fault plans) so shard
-   workers inherit the *enabled* flag across ``fork``; workers open a
+   branch beyond one context-variable read), and ``count``/``note``
+   return immediately.  The ``"baseline"`` engine mode is *never*
+   traced.
+3. **Per-run ownership.** Whether a run is traced is the active
+   :class:`~repro.config.ExecutionConfig`'s ``trace`` field; the active
+   tracer and the last report live in context variables, so concurrent
+   requests on different threads each own their tracer and their
+   report.  Shard workers receive the config with each block, open a
    fresh tracer per block and ship a picklable summary back alongside
    the block's ``Counts``, which the parent merges ``Counts.merge``-style
    — traces survive worker kills because every completed block carries
@@ -35,12 +38,14 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro import config as _config
+
 __all__ = [
-    "ENABLED",
     "ExecutionReport",
     "SpanRecord",
     "Tracer",
@@ -57,19 +62,16 @@ __all__ = [
     "span",
 ]
 
-#: Master toggle, flipped by ``engine_mode(trace=True)``.  Checked once
-#: at run entry (``run_scope``); inner ``span()`` calls key off the
-#: active tracer instead so the flag is read exactly once per run.
-ENABLED = False
+#: The tracer for the run executing in this context, or ``None``.  The
+#: config's ``trace`` flag is read once at run entry (``run_scope``);
+#: inner ``span()`` calls key off this instead.
+_ACTIVE: ContextVar[Optional["Tracer"]] = ContextVar("repro_tracer", default=None)
 
-#: The tracer for the run currently executing in this process, or
-#: ``None``.  Module-global (not thread/context local) on purpose: shard
-#: workers are forked processes, and the sampler itself is not
-#: re-entrant within a process.
-_ACTIVE: Optional["Tracer"] = None
-
-#: Most recent completed report, for ``last_report``/``consume_last_report``.
-_LAST_REPORT: Optional["ExecutionReport"] = None
+#: Most recent completed report in this context, for
+#: ``last_report``/``consume_last_report``.
+_LAST_REPORT: ContextVar[Optional["ExecutionReport"]] = ContextVar(
+    "repro_last_report", default=None
+)
 
 #: Process-cumulative counters for the DCDB plugin: every finished
 #: traced run folds its totals in here so one collector cycle can
@@ -217,7 +219,7 @@ class Tracer:
 def span(name: str, **attrs: Any):
     """Open a hierarchical span on the active tracer; a shared no-op
     context manager when tracing is inactive."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is None:
         return _NOOP
     return tracer.span(name, **attrs)
@@ -225,27 +227,27 @@ def span(name: str, **attrs: Any):
 
 def count(name: str, amount: int = 1) -> None:
     """Bump a monotonic counter on the active tracer (no-op otherwise)."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.count(name, amount)
 
 
 def note(key: str, value: Any) -> None:
     """Record a scalar fact about the run (last write wins)."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.note(key, value)
 
 
 def note_max(key: str, value: float) -> None:
     """Record the running maximum of a scalar (e.g. peak bond dimension)."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.note_max(key, value)
 
 
 def active_tracer() -> Optional[Tracer]:
-    return _ACTIVE
+    return _ACTIVE.get()
 
 
 # -- run lifecycle -----------------------------------------------------
@@ -346,50 +348,49 @@ def _fold_cumulative(report: ExecutionReport) -> None:
 def run_scope(name: str, **attrs: Any):
     """Top-level scope for one sampling run.
 
-    No-op when tracing is disabled.  If a tracer is already active
-    (e.g. ``sample_counts`` delegating to the sharded path) this opens a
-    nested span instead of a second tracer, so one run yields exactly
-    one :class:`ExecutionReport`.
+    No-op unless the active config traces.  If a tracer is already
+    active (e.g. ``sample_counts`` delegating to the sharded path) this
+    opens a nested span instead of a second tracer, so one run yields
+    exactly one :class:`ExecutionReport`.
     """
-    global _ACTIVE, _LAST_REPORT
-    if not ENABLED:
+    if not _config.current().trace:
         yield None
         return
-    if _ACTIVE is not None:
-        with _ACTIVE.span(name, **attrs) as record:
+    active = _ACTIVE.get()
+    if active is not None:
+        with active.span(name, **attrs) as record:
             yield record
         return
     tracer = Tracer()
-    _ACTIVE = tracer
+    token = _ACTIVE.set(tracer)
     started = perf_counter()
     try:
         with tracer.span(name, **attrs) as record:
             yield record
     finally:
-        _ACTIVE = None
+        _ACTIVE.reset(token)
         report = _build_report(tracer, perf_counter() - started)
-        _LAST_REPORT = report
+        _LAST_REPORT.set(report)
         _fold_cumulative(report)
 
 
 @contextmanager
 def block_trace():
     """Worker-side scope for one shard block: installs a *fresh* tracer
-    (the fork-inherited parent tracer must never be mutated in a worker)
-    and yields it so the caller can ship ``tracer.summary()`` home."""
-    global _ACTIVE
-    saved = _ACTIVE
+    (a parent tracer inherited across ``fork`` must never be mutated in
+    a worker) and yields it so the caller can ship ``tracer.summary()``
+    home."""
     tracer = Tracer()
-    _ACTIVE = tracer
+    token = _ACTIVE.set(tracer)
     try:
         yield tracer
     finally:
-        _ACTIVE = saved
+        _ACTIVE.reset(token)
 
 
 def absorb_block_summaries(summaries: Iterable[Mapping[str, Any]]) -> None:
     """Merge worker block summaries into the active (parent) tracer."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is None:
         return
     for summary in summaries:
@@ -400,16 +401,16 @@ def absorb_block_summaries(summaries: Iterable[Mapping[str, Any]]) -> None:
 
 
 def last_report() -> Optional[ExecutionReport]:
-    """The report from the most recent traced run, if any."""
-    return _LAST_REPORT
+    """The report from the most recent traced run in this context, if
+    any."""
+    return _LAST_REPORT.get()
 
 
 def consume_last_report() -> Optional[ExecutionReport]:
     """Return and clear the most recent report (so e.g. the scheduler
     attaches each run's report to exactly one job)."""
-    global _LAST_REPORT
-    report = _LAST_REPORT
-    _LAST_REPORT = None
+    report = _LAST_REPORT.get()
+    _LAST_REPORT.set(None)
     return report
 
 

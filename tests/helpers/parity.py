@@ -9,7 +9,9 @@ suite pins the same contract with the same words.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterable, Optional, Sequence
+from unittest import mock
 
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.simulator import (
@@ -21,8 +23,8 @@ from repro.simulator import (
 )
 
 #: The engine matrix every differential pin sweeps by default.  The
-#: packed tableau is exercised separately (``tableau_impl="packed"``)
-#: because it is a sub-option of ``stabilizer``, not a mode of its own.
+#: packed tableau is exercised separately (:func:`tableau_class`)
+#: because it is a width policy of ``stabilizer``, not a mode of its own.
 ALL_ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps")
 
 
@@ -67,6 +69,19 @@ def counts_under_mode(
     """Sample *qc* under ``engine_mode(mode, **mode_options)``."""
     with engine_mode(mode, **mode_options):
         return sample_counts(qc, shots, noise=noise, rng=seed)
+
+
+@contextmanager
+def tableau_class(cls):
+    """Serve every tableau engine from *cls* (the uint8
+    :class:`~repro.simulator.Tableau` or the bit-packed
+    :class:`~repro.simulator.PackedTableau`) for the block, overriding
+    the width policy of :func:`~repro.simulator.stabilizer.make_tableau`
+    so the suites can pit the two implementations against each other."""
+    from repro.simulator.engines import tableau as tableau_engine
+
+    with mock.patch.object(tableau_engine, "make_tableau", cls):
+        yield
 
 
 def assert_counts_identical(a: Counts, b: Counts, context=None) -> None:
@@ -116,4 +131,5 @@ __all__ = [
     "ghz_t",
     "heavy_noise",
     "light_noise",
+    "tableau_class",
 ]

@@ -25,6 +25,7 @@ from helpers.parity import (
     heavy_noise as _heavy_noise,
     light_noise as _noise,
 )
+from repro import config
 from repro.circuits import ghz_circuit
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import EngineModeError, SimulationError
@@ -213,13 +214,14 @@ class TestBatchedWalkParity:
             assert fast.to_dict() == auto.to_dict()
         del qc
 
-    def test_batch_min_groups_threshold_is_pure_policy(self):
-        """Counts are identical above or below the engagement
-        threshold (scalar fallback)."""
+    def test_batch_min_groups_threshold_is_pure_policy(self, monkeypatch):
+        """Counts are identical above or below the group-count
+        engagement threshold (scalar fallback)."""
         qc = ghz_circuit(10)
         with engine_mode("batched"):
             engaged = sample_counts(qc, 512, noise=_noise(), rng=7)
-        with engine_mode("batched", batch_min_groups=10_000):
+        monkeypatch.setattr(sampler_mod, "_MIN_BATCHED_GROUPS", 10_000)
+        with engine_mode("batched"):
             scalar = sample_counts(qc, 512, noise=_noise(), rng=7)
         assert engaged.to_dict() == scalar.to_dict()
 
@@ -398,78 +400,77 @@ class TestSharding:
 
 
 class TestEngineModeBatchOptions:
-    """Sub-option hygiene for batch_min_groups / workers: mode-scoped,
-    validated before any global mutates, restored on exit."""
-
-    def _globals(self):
-        return (sampler_mod.BATCH_MIN_GROUPS, sampler_mod.WORKERS)
+    """Sub-option hygiene for workers / batch_max_bytes: mode-scoped,
+    validated before the active config changes, restored on exit."""
 
     def test_batch_min_groups_scoped_to_batched_modes(self):
-        before = self._globals()
-        for mode in ("fast", "baseline", "stabilizer", "mps", "hybrid"):
+        """The group-count threshold is a cost policy, not a knob: the
+        old ``batch_min_groups`` keyword is rejected under every mode."""
+        before = config.current()
+        for mode in ("fast", "baseline", "stabilizer", "mps", "hybrid", "batched"):
             with pytest.raises(EngineModeError, match="batch_min_groups"):
                 with engine_mode(mode, batch_min_groups=8):
                     pass  # pragma: no cover
-        assert self._globals() == before
+        assert config.current() is before
 
     def test_workers_rejected_for_baseline(self):
-        before = self._globals()
+        before = config.current()
         with pytest.raises(EngineModeError, match="workers"):
             with engine_mode("baseline", workers=2):
                 pass  # pragma: no cover
-        assert self._globals() == before
+        assert config.current() is before
 
     @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "two"])
     def test_invalid_values_rejected_before_mutation(self, bad):
-        before = self._globals()
-        with pytest.raises(EngineModeError):
-            with engine_mode("batched", batch_min_groups=bad):
-                pass  # pragma: no cover
-        with pytest.raises(EngineModeError):
+        before = config.current()
+        with pytest.raises(EngineModeError, match="workers"):
             with engine_mode("fast", workers=bad):
                 pass  # pragma: no cover
-        assert self._globals() == before
+        with pytest.raises(EngineModeError, match="batch_max_bytes"):
+            with engine_mode("batched", batch_max_bytes=bad):
+                pass  # pragma: no cover
+        assert config.current() is before
 
     def test_valid_values_applied_and_restored(self):
-        before = self._globals()
-        with engine_mode("batched", batch_min_groups=9):
-            assert sampler_mod.BATCH_MIN_GROUPS == 9
-            assert sampler_mod.WORKERS is None
-        with engine_mode("auto", batch_min_groups=3, workers=2):
-            assert sampler_mod.BATCH_MIN_GROUPS == 3
-            assert sampler_mod.WORKERS == 2
-        assert self._globals() == before
+        before = config.current()
+        with engine_mode("batched", batch_max_bytes=4096):
+            assert config.current().batch_max_bytes == 4096
+            assert config.current().workers is None
+        with engine_mode("auto", workers=2):
+            assert config.current().workers == 2
+        assert config.current() is before
 
     def test_unknown_option_message_lists_new_sub_options(self):
         with pytest.raises(
-            EngineModeError, match="batch_min_groups, batch_max_bytes, workers"
+            EngineModeError, match="batch_max_bytes, workers, max_state_bytes"
         ):
             with engine_mode("fast", wrokers=2):
                 pass  # pragma: no cover
 
     def test_batch_max_bytes_scoped_to_dense_family_modes(self):
-        before = (sampler_mod.BATCH_MAX_BYTES,)
+        before = config.current()
         for mode in ("baseline", "stabilizer", "mps"):
             with pytest.raises(EngineModeError, match="batch_max_bytes"):
                 with engine_mode(mode, batch_max_bytes=65536):
                     pass  # pragma: no cover
-        assert (sampler_mod.BATCH_MAX_BYTES,) == before
+        assert config.current() is before
 
     @pytest.mark.parametrize("bad", [0, 1023, -1, True, 1.5, "big"])
     def test_batch_max_bytes_invalid_values_rejected_before_mutation(self, bad):
-        before = (sampler_mod.BATCH_MAX_BYTES,)
+        before = config.current()
         with pytest.raises(EngineModeError):
             with engine_mode("fast", batch_max_bytes=bad):
                 pass  # pragma: no cover
-        assert (sampler_mod.BATCH_MAX_BYTES,) == before
+        assert config.current() is before
 
     def test_batch_max_bytes_applied_and_restored(self):
-        before = sampler_mod.BATCH_MAX_BYTES
+        before = config.current().batch_max_bytes
         for mode in ("fast", "batched", "hybrid", "auto"):
             with engine_mode(mode, batch_max_bytes=65536):
-                assert sampler_mod.BATCH_MAX_BYTES == 65536
-            assert sampler_mod.BATCH_MAX_BYTES == before
+                assert config.current().batch_max_bytes == 65536
+            assert config.current().batch_max_bytes == before
         # numpy integers from config code are accepted
         with engine_mode("fast", batch_max_bytes=np.int64(131072)):
-            assert sampler_mod.BATCH_MAX_BYTES == 131072
-        assert sampler_mod.BATCH_MAX_BYTES == before
+            assert config.current().batch_max_bytes == 131072
+            assert type(config.current().batch_max_bytes) is int
+        assert config.current().batch_max_bytes == before

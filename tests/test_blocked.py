@@ -12,8 +12,8 @@ Covers the three layers PR 8 added, bottom-up:
   bit-identical standard the engine matrix pins, here across the
   blocked/unblocked axis for grouped and per-shot walks.
 
-Tile widths derive from ``BATCH_MAX_BYTES``, so the suite shrinks the
-budget (``engine_mode(..., batch_max_bytes=...)`` or explicit
+Tile widths derive from the config's ``batch_max_bytes``, so the suite
+shrinks the budget (``engine_mode(..., batch_max_bytes=...)`` or explicit
 ``tile_qubits=``) to exercise the wide regime at tier-1-cheap widths.
 """
 
@@ -26,6 +26,7 @@ from helpers.parity import (
     ghz_t,
     heavy_noise,
 )
+from repro import config
 from repro.circuits import QuantumCircuit, brickwork_circuit
 from repro.simulator import NoiseModel, depolarizing_error, engine_mode
 from repro.simulator.batched import BatchedStateVector
@@ -143,10 +144,10 @@ class TestBlockedSchedule:
         ops = self._ops([("h", [0])] * 8, 3)
         assert dense.plan_blocked_window(ops, None, 3, tile_qubits=3) is None
 
-    def test_none_when_switched_off(self, monkeypatch):
+    def test_none_when_switched_off(self):
         ops = self._ops([("h", [0])] * 8, 6)
-        monkeypatch.setattr(dense, "BLOCKED_SWEEPS", False)
-        assert dense.plan_blocked_window(ops, None, 6, tile_qubits=2) is None
+        with engine_mode("fast", blocked_sweeps=False):
+            assert dense.plan_blocked_window(ops, None, 6, tile_qubits=2) is None
 
     def test_sweep_splits_when_the_union_overflows(self):
         ops = self._ops([("h", [0]), ("h", [1])] * 3 + [("h", [2])] * 6, 6)
@@ -269,15 +270,14 @@ class TestExecuteBlocked:
         dense.apply_items(sv_b, planned[0])
         np.testing.assert_allclose(sv_a.data, sv_b.data, rtol=0, atol=1e-14)
 
-    def test_options_key_pins_the_blocking_toggles(self, monkeypatch):
+    def test_options_key_pins_the_blocking_toggles(self):
         from repro.compiler import plans
 
-        base = plans._options_key()
-        monkeypatch.setattr(dense, "BLOCKED_SWEEPS", False)
-        assert plans._options_key() != base
-        monkeypatch.setattr(dense, "BLOCKED_SWEEPS", True)
-        with engine_mode("fast", batch_max_bytes=4096):
-            assert plans._options_key() != base
+        base = plans.plan_key(config.current())
+        with engine_mode("fast", blocked_sweeps=False) as unblocked:
+            assert plans.plan_key(unblocked) != base
+        with engine_mode("fast", batch_max_bytes=4096) as small:
+            assert plans.plan_key(small) != base
 
 
 class TestBlockedParity:
@@ -285,12 +285,9 @@ class TestBlockedParity:
 
     @staticmethod
     def _counts(qc, mode, *, blocked, noise, seed, **opts):
-        prev = dense.BLOCKED_SWEEPS
-        dense.BLOCKED_SWEEPS = blocked
-        try:
-            return counts_under_mode(qc, mode, seed, noise=noise, shots=192, **opts)
-        finally:
-            dense.BLOCKED_SWEEPS = prev
+        return counts_under_mode(
+            qc, mode, seed, noise=noise, shots=192, blocked_sweeps=blocked, **opts
+        )
 
     @pytest.mark.parametrize("mode", ["fast", "batched", "hybrid"])
     def test_blocked_toggle_keeps_seeded_counts(self, mode):

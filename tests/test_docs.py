@@ -56,6 +56,10 @@ def test_architecture_doc_covers_engine_contract():
     text = ARCHITECTURE.read_text()
     for needle in (
         "engine_mode",
+        "ExecutionConfig",
+        "repro.config",
+        "ContextVar",
+        "plan_key",
         "stabilizer",
         "baseline",
         "BENCH_simulator.json",
@@ -96,7 +100,7 @@ def test_architecture_doc_covers_packed_tableau():
         "ceil(n/64)",
         "np.bitwise_count",
         "PackedCosetSupport",
-        "tableau_impl",
+        "make_tableau",
         "stabilizer_packed_ghz",
         "diagonal_fusion_dense",
         "floor",
@@ -111,7 +115,7 @@ def test_architecture_doc_covers_diagonal_fusion():
         "Diagonal-run kernel fusion",
         "apply_diagonal",
         "scan_diagonal_runs",
-        "FUSE_DIAGONAL_RUNS",
+        "fuse_diagonal_runs",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
 
@@ -150,8 +154,8 @@ def test_architecture_doc_covers_batched_and_sharding():
         "BatchedStateVector",
         "BatchedDenseEngine",
         "lockstep",
-        "BATCH_MAX_BYTES",
-        "batch_min_groups",
+        "ExecutionConfig",
+        "_MIN_BATCHED_GROUPS",
         '"batched"',
         "workers",
         "sample_counts_sharded",
@@ -171,7 +175,7 @@ def test_architecture_doc_covers_blocked_execution():
     text = ARCHITECTURE.read_text()
     for needle in (
         "Cache-blocked wide-state execution",
-        "BLOCKED_SWEEPS",
+        "blocked_sweeps",
         "blocked_tile_qubits",
         "plan_blocked_window",
         "execute_blocked",
@@ -203,7 +207,7 @@ def test_readme_covers_blocked_execution():
 def test_architecture_doc_covers_execution_plans():
     """The execution-plans section must name both plan tiers, the
     structural-hash contract, the cache surface (entry point, bound,
-    options key, kill switch), every engine's artifact set, and the
+    config key, kill switch), every engine's artifact set, and the
     pinning suites (fuzzer + bench lane)."""
     text = ARCHITECTURE.read_text()
     for needle in (
@@ -213,14 +217,14 @@ def test_architecture_doc_covers_execution_plans():
         "structural_hash",
         "plan_for",
         "PLAN_CACHE_MAX",
-        "PLANS_ENABLED",
+        "plans=False",
         "plan_artifacts",
         "window_partitions",
         "diagonal_tables",
         "block_matrices",
         "clifford_boundary",
         "swap_routes",
-        "FUSE_BLOCKS",
+        "fuse_blocks",
         "plan_cache_parameterized",
         "--fuzz-deep",
     ):
@@ -338,7 +342,7 @@ def test_readme_covers_plan_cache():
         "-m fuzz",
         "--fuzz-deep",
         "plan_cache_parameterized",
-        "PLANS_ENABLED",
+        "plans=False",
     ):
         assert needle in text, f"README lost the {needle!r} plan-cache coverage"
 

@@ -14,17 +14,17 @@ Four layers of guarantees are pinned here:
    through the grouped path, the per-shot (mid-circuit measurement)
    path, and reset-type (thermal) noise.
 4. **Facade hygiene** — an invalid ``engine_mode`` raises
-   :class:`ValueError` before touching any global, and the legacy
-   ``fast=`` bool form deprecation-warns exactly once.
+   :class:`ValueError` before the active config changes, and nested
+   blocks restore the outer config on exit.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, ghz_circuit
+from repro import config
 from repro.circuits.dag import CliffordSegment, clifford_segments, segment_summary
 from repro.errors import EngineModeError, SimulationError
 from repro.hybrid import (
@@ -559,53 +559,39 @@ class TestExpectationRouting:
 
 class TestEngineModeFacade:
     def test_invalid_mode_raises_value_error_before_mutation(self):
-        from repro.simulator import sampler
-
-        before = (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        )
+        before = config.current()
         with pytest.raises(ValueError):
             with engine_mode("warp"):
                 pass  # pragma: no cover
-        assert (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        ) == before
+        assert config.current() is before
 
     def test_conflicting_args_raise_value_error(self):
-        with pytest.raises(ValueError):
+        # the deprecated ``fast=`` bool is gone: passing it is an error
+        with pytest.raises(ValueError, match="fast"):
             with engine_mode("fast", fast=True):
+                pass  # pragma: no cover
+
+    def test_mode_is_required(self):
+        with pytest.raises(TypeError):
+            with engine_mode():  # type: ignore[call-arg]
                 pass  # pragma: no cover
 
     def test_unknown_sub_option_kwargs_rejected(self):
         """Hygiene: unrecognized sub-option keywords raise
-        EngineModeError before any global mutates (a typo must not run
-        the block on silent defaults)."""
-        from repro.simulator import sampler
-
-        before = (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        )
+        EngineModeError before the active config changes (a typo must
+        not run the block on silent defaults)."""
+        before = config.current()
         for kwargs in ({"ci": 64}, {"tablea_impl": "packed"}, {"threshold": 0.1}):
             with pytest.raises(EngineModeError, match="sub-option"):
                 with engine_mode("fast", **kwargs):
                     pass  # pragma: no cover
-        assert (
-            sampler.ENGINE,
-            StateVector.use_fast_kernels,
-            sampler.USE_PREFIX_SHARING,
-        ) == before
+        assert config.current() is before
 
     def test_sub_options_rejected_for_inapplicable_modes(self):
         """A sub-option the selected mode's routing can never consume is
         an error, not a silent no-op."""
-        with pytest.raises(EngineModeError, match="tableau_impl"):
-            with engine_mode("baseline", tableau_impl="packed"):
+        with pytest.raises(EngineModeError, match="fuse_blocks"):
+            with engine_mode("baseline", fuse_blocks=False):
                 pass  # pragma: no cover
         with pytest.raises(EngineModeError, match="chi"):
             with engine_mode("stabilizer", chi=8):
@@ -614,26 +600,28 @@ class TestEngineModeFacade:
     def test_new_modes_accepted_and_restored(self):
         from repro.simulator import sampler
 
-        before = sampler.ENGINE
+        before = config.current()
         with engine_mode("hybrid"):
             assert sampler.ENGINE == "hybrid"
-            assert StateVector.use_fast_kernels
+            assert StateVector(1).use_fast_kernels
             with engine_mode("auto"):
                 assert sampler.ENGINE == "auto"
             assert sampler.ENGINE == "hybrid"
-        assert sampler.ENGINE == before
+        assert config.current() is before
 
-    def test_fast_keyword_deprecation_warns_once(self, monkeypatch):
-        from repro.simulator import sampler
+    def test_config_restored_after_exception(self):
+        before = config.current()
+        with pytest.raises(RuntimeError):
+            with engine_mode("mps", chi=3):
+                raise RuntimeError("boom")
+        assert config.current() is before
 
-        monkeypatch.setattr(sampler, "_FAST_KEYWORD_WARNED", False)
-        with pytest.warns(DeprecationWarning, match="engine_mode"):
-            with engine_mode(fast=True):
-                pass
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with engine_mode(fast=False):
-                pass  # second use stays silent
+    def test_baseline_mode_fixes_generic_kernels_per_state(self):
+        with engine_mode("baseline"):
+            state = StateVector(2)
+            assert not state.use_fast_kernels
+            assert not state.copy().use_fast_kernels
+        assert StateVector(2).use_fast_kernels
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ bug by definition; random circuits hunt for the shape that breaks it.
 Five shape families cover the distinct execution regimes:
 
 * ``clifford`` — tableau-eligible circuits (also swept through the
-  packed word-parallel tableau via ``tableau_impl="packed"``);
+  packed word-parallel tableau via ``helpers.parity.tableau_class``);
 * ``clifford_t`` — Clifford prefix + diagonal tail: hybrid boundary
   crossing, diagonal-run fusion, MPS swap routing;
 * ``parameterized`` — random rotation angles: block fusion on
@@ -30,10 +30,9 @@ hundreds of circuits per invocation (the acceptance budget).
 import numpy as np
 import pytest
 
-from helpers.parity import assert_counts_identical, counts_under_mode
+from helpers.parity import assert_counts_identical, counts_under_mode, tableau_class
 from repro.circuits import QuantumCircuit
-from repro.compiler import plans
-from repro.simulator import NoiseModel, depolarizing_error
+from repro.simulator import NoiseModel, PackedTableau, depolarizing_error
 
 pytestmark = pytest.mark.fuzz
 
@@ -160,19 +159,14 @@ def _assert_blocked_equals_unblocked(
 ):
     """The blocked-sweep axis: turning cache blocking off must not move
     a single seeded count (the unblocked path is the reference math)."""
-    from repro.simulator.engines import dense
-
     for mode in modes:
         blocked = counts_under_mode(
             qc, mode, seed, noise=noise, shots=shots, **mode_options
         )
-        dense.BLOCKED_SWEEPS = False
-        try:
-            unblocked = counts_under_mode(
-                qc, mode, seed, noise=noise, shots=shots, **mode_options
-            )
-        finally:
-            dense.BLOCKED_SWEEPS = True
+        unblocked = counts_under_mode(
+            qc, mode, seed, noise=noise, shots=shots, blocked_sweeps=False,
+            **mode_options,
+        )
         assert_counts_identical(blocked, unblocked, context=("blocked", mode, seed))
 
 
@@ -183,13 +177,9 @@ def _assert_planned_equals_unplanned(
         planned = counts_under_mode(
             qc, mode, seed, noise=noise, shots=shots, **mode_options
         )
-        plans.PLANS_ENABLED = False
-        try:
-            unplanned = counts_under_mode(
-                qc, mode, seed, noise=noise, shots=shots, **mode_options
-            )
-        finally:
-            plans.PLANS_ENABLED = True
+        unplanned = counts_under_mode(
+            qc, mode, seed, noise=noise, shots=shots, plans=False, **mode_options
+        )
         assert_counts_identical(planned, unplanned, context=(mode, seed))
 
 
@@ -217,11 +207,10 @@ class TestPlannedVsUnplannedFuzz:
             _assert_planned_equals_unplanned(
                 qc, ("fast", "batched", "stabilizer", "hybrid", "mps"), seed=i
             )
-            # the packed word-parallel tableau is a sub-option, swept
+            # the packed word-parallel tableau is a width policy, swept
             # explicitly so narrow fuzz circuits exercise it too
-            _assert_planned_equals_unplanned(
-                qc, ("stabilizer",), seed=i, tableau_impl="packed"
-            )
+            with tableau_class(PackedTableau):
+                _assert_planned_equals_unplanned(qc, ("stabilizer",), seed=i)
 
     def test_clifford_t_family(self, fuzz_deep):
         rng = np.random.default_rng(2002)

@@ -127,7 +127,7 @@ class TestCircuitLevelEquivalence:
     def test_random_circuits_match_generic_engine(self, seed):
         qc = random_circuit(5, 40, seed=seed, measure=False)
         fast = simulate_statevector(qc)
-        with engine_mode(fast=False):
+        with engine_mode("baseline"):
             slow = simulate_statevector(qc)
         np.testing.assert_allclose(fast.data, slow.data, atol=1e-12)
 
@@ -291,7 +291,7 @@ class TestPrefixSharingSampler:
         qc = ghz_circuit(4)
         nm = self._noise()
         fast = sample_counts(qc, 30_000, noise=nm, rng=1)
-        with engine_mode(fast=False):
+        with engine_mode("baseline"):
             slow = sample_counts(qc, 30_000, noise=nm, rng=2)
         assert fast.total_variation_distance(slow) < 0.02
 
@@ -307,7 +307,7 @@ class TestPrefixSharingSampler:
         baseline draw identical RNG streams and identical counts."""
         qc = ghz_circuit(6)
         a = sample_counts(qc, 1000, rng=9)
-        with engine_mode(fast=False):
+        with engine_mode("baseline"):
             b = sample_counts(qc, 1000, rng=9)
         assert a.to_dict() == b.to_dict()
 
@@ -377,7 +377,6 @@ class TestDiagonalRunFusion:
 
     def test_fused_advance_matches_unfused_1e12(self):
         from repro.simulator.engines import DenseEngine
-        from repro.simulator.engines import dense as dense_mod
 
         rng = np.random.default_rng(61)
         for trial in range(12):
@@ -387,13 +386,9 @@ class TestDiagonalRunFusion:
             with engine_mode("fast"):
                 fused = DenseEngine(qc)
                 fused.advance(ops)
-                prev = dense_mod.FUSE_DIAGONAL_RUNS
-                try:
-                    dense_mod.FUSE_DIAGONAL_RUNS = False
-                    unfused = DenseEngine(qc)
-                    unfused.advance(ops)
-                finally:
-                    dense_mod.FUSE_DIAGONAL_RUNS = prev
+            with engine_mode("fast", fuse_diagonal_runs=False):
+                unfused = DenseEngine(qc)
+                unfused.advance(ops)
             np.testing.assert_allclose(
                 fused.to_dense().data, unfused.to_dense().data, atol=1e-12
             )
@@ -449,8 +444,6 @@ class TestDiagonalRunFusion:
     def test_fusion_in_grouped_sampling_is_invisible(self):
         """Seeded grouped sampling with fusion on vs off: identical
         counts (the fused phases differ only at float rounding)."""
-        from repro.simulator.engines import dense as dense_mod
-
         rng = np.random.default_rng(73)
         qc = self._random_diag_heavy_circuit(6, 40, rng)
         qc.measure_all()
@@ -458,10 +451,6 @@ class TestDiagonalRunFusion:
         nm.add_gate_error(depolarizing_error(0.03, 1), "h")
         with engine_mode("fast"):
             on = sample_counts(qc, 256, noise=nm, rng=11)
-            prev = dense_mod.FUSE_DIAGONAL_RUNS
-            try:
-                dense_mod.FUSE_DIAGONAL_RUNS = False
-                off = sample_counts(qc, 256, noise=nm, rng=11)
-            finally:
-                dense_mod.FUSE_DIAGONAL_RUNS = prev
+        with engine_mode("fast", fuse_diagonal_runs=False):
+            off = sample_counts(qc, 256, noise=nm, rng=11)
         assert on.to_dict() == off.to_dict()

@@ -28,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import config
 from repro.circuits import (
     QuantumCircuit,
     brickwork_circuit,
@@ -55,7 +56,6 @@ from repro.simulator import (
     simulate_mps,
     simulate_statevector,
 )
-from repro.simulator.engines import mps as mps_mod
 from repro.simulator.noise import ReadoutError, thermal_relaxation_error
 from repro.simulator.statevector import DENSE_QUBIT_LIMIT
 
@@ -406,17 +406,17 @@ class TestRoutingAndFacade:
         assert select_engine("auto", brickwork_circuit(10, 4)) is DenseEngine
 
     def test_chi_sub_option_scopes_global(self):
-        assert mps_mod.CHI == 64
+        assert config.current().chi == 64
         with engine_mode("mps", chi=7, truncation_threshold=1e-6):
-            assert mps_mod.CHI == 7
-            assert mps_mod.TRUNCATION_THRESHOLD == 1e-6
+            assert config.current().chi == 7
+            assert config.current().truncation_threshold == 1e-6
             engine = MPSEngine(ghz_circuit(4, measure=False))
             assert engine.chi == 7
-        assert mps_mod.CHI == 64
-        assert mps_mod.TRUNCATION_THRESHOLD == 0.0
+        assert config.current().chi == 64
+        assert config.current().truncation_threshold == 0.0
         # numpy integers (sweep/config code) are valid sub-option values
         with engine_mode("mps", chi=np.int64(16)):
-            assert mps_mod.CHI == 16
+            assert config.current().chi == 16
 
     def test_chi_only_valid_for_mps_capable_modes(self):
         for mode in ("fast", "baseline", "stabilizer", "hybrid"):
@@ -425,10 +425,10 @@ class TestRoutingAndFacade:
                     pass  # pragma: no cover
         for mode in ("mps", "auto"):
             with engine_mode(mode, chi=8):
-                assert mps_mod.CHI == 8
+                assert config.current().chi == 8
 
     def test_invalid_sub_option_values_rejected_before_mutation(self):
-        before = (mps_mod.CHI, mps_mod.TRUNCATION_THRESHOLD)
+        before = config.current()
         for kwargs in (
             {"chi": 0},
             {"chi": 2.5},
@@ -439,7 +439,7 @@ class TestRoutingAndFacade:
             with pytest.raises(EngineModeError):
                 with engine_mode("mps", **kwargs):
                     pass  # pragma: no cover
-        assert (mps_mod.CHI, mps_mod.TRUNCATION_THRESHOLD) == before
+        assert config.current() is before
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +467,7 @@ class TestWideScaling:
         assert elapsed < 30.0, f"64q brickwork sampling took {elapsed:.1f}s"
         engine = prepare_engine(qc, "mps")
         assert engine.truncation_error == 0.0
-        assert engine.max_bond_dimension <= mps_mod.CHI
+        assert engine.max_bond_dimension <= config.current().chi
 
     def test_wide_ghz_sweep_sampling_is_coherent(self):
         """Beyond the dense limit the conditional-marginal sweep takes

@@ -7,12 +7,14 @@ factorization (pivots, basis order, offsets), and therefore the same
 seeded sampled counts — at 12, 100, and 512 qubits, and against the
 dense engine wherever it can represent the state.  These tests pin all
 of that, plus the popcount phase kernel against the scalar ``_g4`` and
-the ``engine_mode(tableau_impl=...)`` policy plumbing.
+the width policy of ``make_tableau``.
 """
 
 import numpy as np
 import pytest
 
+from helpers.parity import tableau_class
+from repro import config
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.errors import EngineModeError, SimulationError
 from repro.simulator import (
@@ -22,7 +24,6 @@ from repro.simulator import (
     engine_mode,
     sample_counts,
 )
-from repro.simulator import stabilizer as stabilizer_mod
 from repro.simulator.engines import TableauEngine
 from repro.simulator.noise import thermal_relaxation_error
 from repro.simulator.stabilizer import (
@@ -287,9 +288,9 @@ class TestSeededCountsBitExact:
     @pytest.mark.parametrize("num_qubits,shots", [(12, 256), (100, 512), (512, 96)])
     def test_ghz_counts_identical_both_impls(self, num_qubits, shots):
         qc = ghz_circuit(num_qubits)
-        with engine_mode("stabilizer", tableau_impl="unpacked"):
+        with engine_mode("stabilizer"), tableau_class(Tableau):
             a = sample_counts(qc, shots, noise=_ghz_noise(), rng=7)
-        with engine_mode("stabilizer", tableau_impl="packed"):
+        with engine_mode("stabilizer"), tableau_class(PackedTableau):
             b = sample_counts(qc, shots, noise=_ghz_noise(), rng=7)
         assert a.to_dict() == b.to_dict()
 
@@ -302,9 +303,9 @@ class TestSeededCountsBitExact:
             n = int(rng.integers(2, 8))
             qc = random_clifford_circuit(n, 25, rng, measure=True)
             seed = int(rng.integers(1 << 30))
-            with engine_mode("stabilizer", tableau_impl="unpacked"):
+            with engine_mode("stabilizer"), tableau_class(Tableau):
                 a = sample_counts(qc, 192, noise=nm, rng=seed)
-            with engine_mode("stabilizer", tableau_impl="packed"):
+            with engine_mode("stabilizer"), tableau_class(PackedTableau):
                 b = sample_counts(qc, 192, noise=nm, rng=seed)
             assert a.to_dict() == b.to_dict(), trial
 
@@ -319,9 +320,9 @@ class TestSeededCountsBitExact:
         )
         qc = ghz_circuit(8)
         for seed in (1, 5):
-            with engine_mode("stabilizer", tableau_impl="unpacked"):
+            with engine_mode("stabilizer"), tableau_class(Tableau):
                 a = sample_counts(qc, 256, noise=nm, rng=seed)
-            with engine_mode("stabilizer", tableau_impl="packed"):
+            with engine_mode("stabilizer"), tableau_class(PackedTableau):
                 b = sample_counts(qc, 256, noise=nm, rng=seed)
             assert a.to_dict() == b.to_dict(), seed
 
@@ -338,9 +339,9 @@ class TestSeededCountsBitExact:
         nm = NoiseModel()
         nm.add_gate_error(depolarizing_error(0.05, 1), "h")
         for seed in (0, 42):
-            with engine_mode("stabilizer", tableau_impl="unpacked"):
+            with engine_mode("stabilizer"), tableau_class(Tableau):
                 a = sample_counts(qc, 192, noise=nm, rng=seed)
-            with engine_mode("stabilizer", tableau_impl="packed"):
+            with engine_mode("stabilizer"), tableau_class(PackedTableau):
                 b = sample_counts(qc, 192, noise=nm, rng=seed)
             assert a.to_dict() == b.to_dict(), seed
 
@@ -350,7 +351,7 @@ class TestSeededCountsBitExact:
         qc = ghz_circuit(12)
         with engine_mode("fast"):
             dense = sample_counts(qc, 384, noise=_ghz_noise(), rng=9)
-        with engine_mode("stabilizer", tableau_impl="packed"):
+        with engine_mode("stabilizer"), tableau_class(PackedTableau):
             packed = sample_counts(qc, 384, noise=_ghz_noise(), rng=9)
         assert dense.to_dict() == packed.to_dict()
 
@@ -364,24 +365,25 @@ class TestImplementationPolicy:
     def test_factory_threshold(self):
         assert isinstance(make_tableau(PACKED_TABLEAU_THRESHOLD - 1), Tableau)
         assert isinstance(make_tableau(PACKED_TABLEAU_THRESHOLD), PackedTableau)
-        assert isinstance(make_tableau(2, impl="packed"), PackedTableau)
-        assert isinstance(make_tableau(500, impl="unpacked"), Tableau)
-        with pytest.raises(SimulationError):
-            make_tableau(2, impl="no-such-impl")
+        assert isinstance(make_tableau(2), Tableau)
+        assert isinstance(make_tableau(500), PackedTableau)
 
     def test_engine_mode_sets_and_restores_policy(self):
-        assert stabilizer_mod.TABLEAU_IMPL == "auto"
-        with engine_mode("stabilizer", tableau_impl="packed"):
-            assert stabilizer_mod.TABLEAU_IMPL == "packed"
+        """The implementation is a width policy, not a knob: the tableau
+        engine serves a forced class for the block and the width policy
+        again afterwards."""
+        with tableau_class(PackedTableau):
             eng = TableauEngine(ghz_circuit(3, measure=False))
             assert isinstance(eng._tab, PackedTableau)
-        assert stabilizer_mod.TABLEAU_IMPL == "auto"
+        eng = TableauEngine(ghz_circuit(3, measure=False))
+        assert isinstance(eng._tab, Tableau)
 
     def test_engine_mode_rejects_bad_impl_before_mutation(self):
-        with pytest.raises(EngineModeError):
-            with engine_mode("stabilizer", tableau_impl="bogus"):
+        before = config.current()
+        with pytest.raises(EngineModeError, match="tableau_impl"):
+            with engine_mode("stabilizer", tableau_impl="packed"):
                 pass  # pragma: no cover
-        assert stabilizer_mod.TABLEAU_IMPL == "auto"
+        assert config.current() is before
 
     def test_auto_policy_picks_packed_above_threshold(self):
         eng = TableauEngine(ghz_circuit(PACKED_TABLEAU_THRESHOLD + 1, measure=False))

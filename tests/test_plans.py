@@ -6,9 +6,9 @@ Three contracts under test:
   wiring, parameter slots, per-gate diagonality — and never by numeric
   parameter values, so rebinding an ansatz hits the cache;
 * the **cache** is a bounded LRU keyed by ``(structural_hash,
-  options_key)``: collisions are impossible by construction, eviction
-  respects the cap, and engine sub-options that change plan artifacts
-  (``chi``, fusion toggles) key distinct entries;
+  plan_key(config))``: collisions are impossible by construction,
+  eviction respects the cap, and config fields that change plan
+  artifacts (``chi``, fusion toggles) key distinct entries;
 * the **plan artifacts** each backend declares are the ones it actually
   consumes, and every planned result is bit-identical to the unplanned
   path (the fuzz suite extends this pin; here we test the memo layers
@@ -192,11 +192,11 @@ class TestPlanCache:
         # restoring the mode restores the original cache entry
         assert plans.plan_for(qc) is p_default
 
-    def test_fusion_toggle_options_key_separate_entries(self, monkeypatch):
+    def test_fusion_toggle_options_key_separate_entries(self):
         qc = ghz_t(4)
         p_fused = plans.plan_for(qc)
-        monkeypatch.setattr(dense_mod, "FUSE_BLOCKS", False)
-        p_unfused = plans.plan_for(qc)
+        with engine_mode("fast", fuse_blocks=False):
+            p_unfused = plans.plan_for(qc)
         assert p_unfused is not p_fused
 
     def test_clear_resets_entries_and_counters(self):
@@ -332,11 +332,7 @@ class TestPlannedExecutionParity:
 
         qc = ghz_t(6)
         planned = counts_under_mode(qc, mode, 7, noise=heavy_noise())
-        plans.PLANS_ENABLED = False
-        try:
-            unplanned = counts_under_mode(qc, mode, 7, noise=heavy_noise())
-        finally:
-            plans.PLANS_ENABLED = True
+        unplanned = counts_under_mode(qc, mode, 7, noise=heavy_noise(), plans=False)
         assert planned.to_dict() == unplanned.to_dict()
 
     def test_per_shot_walk_counts_identical(self):
@@ -347,11 +343,7 @@ class TestPlannedExecutionParity:
         qc.cx(0, 1)
         qc.measure(1, 1)
         planned = counts_under_mode(qc, "fast", 3, shots=256)
-        plans.PLANS_ENABLED = False
-        try:
-            unplanned = counts_under_mode(qc, "fast", 3, shots=256)
-        finally:
-            plans.PLANS_ENABLED = True
+        unplanned = counts_under_mode(qc, "fast", 3, shots=256, plans=False)
         assert planned.to_dict() == unplanned.to_dict()
 
     def test_baseline_mode_never_plans(self):

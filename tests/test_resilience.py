@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from helpers.parity import assert_counts_identical, counts_under_mode, ghz_t
+from repro import config
 from repro.circuits import ghz_circuit
 from repro.errors import (
     EngineModeError,
@@ -381,16 +382,15 @@ class TestAdmissionControl:
 
     def test_estimate_formulas(self):
         qc = ghz_t(10)
-        from repro.simulator.engines import mps as mps_mod
-        from repro.simulator.sampler import BATCH_MAX_BYTES
+        active = config.current()
 
         dense = estimate_resources(qc, "fast")
         assert dense.engine == "dense"
         assert dense.peak_bytes == 3 * (16 << 10)
         batched = estimate_resources(qc, "batched")
-        assert batched.peak_bytes == dense.peak_bytes + int(BATCH_MAX_BYTES)
+        assert batched.peak_bytes == dense.peak_bytes + active.batch_max_bytes
         mps = estimate_resources(qc, "mps")
-        assert mps.peak_bytes == 2 * 10 * (2 * mps_mod.CHI * mps_mod.CHI * 16)
+        assert mps.peak_bytes == 2 * 10 * (2 * active.chi * active.chi * 16)
 
     def test_engine_without_estimate_admits_unconditionally(self):
         silent = type(
@@ -419,11 +419,11 @@ class TestMaxStateBytesFacade:
     def test_budget_tightens_and_restores(self):
         qc = ghz_t(4)
         with engine_mode("fast", max_state_bytes=1):
-            assert resilience.MAX_STATE_BYTES == 1
+            assert config.current().max_state_bytes == 1
             with pytest.raises(ResourceAdmissionError) as excinfo:
                 sample_counts(qc, 16, rng=1)
             assert excinfo.value.budget_bytes == 1
-        assert resilience.MAX_STATE_BYTES == DEFAULT_MAX_STATE_BYTES
+        assert config.current().max_state_bytes is None  # the default budget
         counts = sample_counts(qc, 16, rng=1)  # admits again after restore
         assert counts.shots == 16
 
@@ -431,7 +431,7 @@ class TestMaxStateBytesFacade:
         with pytest.raises(RuntimeError):
             with engine_mode("fast", max_state_bytes=64):
                 raise RuntimeError("boom")
-        assert resilience.MAX_STATE_BYTES == DEFAULT_MAX_STATE_BYTES
+        assert config.current().max_state_bytes is None
 
     def test_budget_rejected_under_baseline(self):
         with pytest.raises(EngineModeError, match="max_state_bytes"):
@@ -445,11 +445,11 @@ class TestMaxStateBytesFacade:
                 pass
 
     def test_failed_validation_leaves_budget_untouched(self):
-        before = resilience.MAX_STATE_BYTES
+        before = config.current()
         with pytest.raises(EngineModeError):
             with engine_mode("fast", max_state_bytes=0):
                 pass
-        assert resilience.MAX_STATE_BYTES == before
+        assert config.current() is before
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,9 @@ class TestSuffixCheckpoints:
 
     def _counts(self, qc, mode, seed, checkpoints):
         from repro.simulator import engine_mode
-        from repro.simulator import sampler as sampler_mod
 
-        prev = sampler_mod.USE_SUFFIX_CHECKPOINTS
-        try:
-            sampler_mod.USE_SUFFIX_CHECKPOINTS = checkpoints
-            with engine_mode(mode):
-                return sample_counts(qc, 512, noise=heavy_noise(), rng=seed)
-        finally:
-            sampler_mod.USE_SUFFIX_CHECKPOINTS = prev
+        with engine_mode(mode, suffix_checkpoints=checkpoints):
+            return sample_counts(qc, 512, noise=heavy_noise(), rng=seed)
 
     def test_seeded_counts_identical_across_toggle(self):
         cases = [

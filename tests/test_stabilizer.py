@@ -493,12 +493,11 @@ class TestSamplerDispatch:
     def test_default_mode_keeps_dense_below_limit(self):
         """≤26-qubit circuits keep their historical dense-engine streams
         in the default mode (dispatch only auto-engages beyond it)."""
-        from repro.simulator.sampler import _route_to_stabilizer
+        from repro.simulator.engines import TableauEngine, select_engine
 
-        assert not _route_to_stabilizer(ghz_circuit(20))
-        assert _route_to_stabilizer(ghz_circuit(27))
-        with engine_mode("stabilizer"):
-            assert _route_to_stabilizer(ghz_circuit(4))
+        assert select_engine("fast", ghz_circuit(20)) is not TableauEngine
+        assert select_engine("fast", ghz_circuit(27)) is TableauEngine
+        assert select_engine("stabilizer", ghz_circuit(4)) is TableauEngine
 
     def test_non_clifford_falls_back_to_dense(self):
         qc = QuantumCircuit(3)
@@ -531,7 +530,7 @@ class TestSamplerDispatch:
             sample_counts(qc, 16, rng=0)
 
     def test_engine_mode_validation_and_restore(self):
-        from repro.simulator import sampler
+        from repro import config
 
         with pytest.raises(SimulationError):
             with engine_mode("warp"):
@@ -539,14 +538,14 @@ class TestSamplerDispatch:
         with pytest.raises(SimulationError):
             with engine_mode("fast", fast=True):
                 pass
-        before = (sampler.ENGINE, StateVector.use_fast_kernels)
+        before = config.current()
         with engine_mode("stabilizer"):
-            assert sampler.ENGINE == "stabilizer"
-            with engine_mode(fast=False):
-                assert sampler.ENGINE == "baseline"
-                assert not StateVector.use_fast_kernels
-            assert sampler.ENGINE == "stabilizer"
-        assert (sampler.ENGINE, StateVector.use_fast_kernels) == before
+            assert config.current().mode == "stabilizer"
+            with engine_mode("baseline"):
+                assert config.current().mode == "baseline"
+                assert not StateVector(1).use_fast_kernels
+            assert config.current().mode == "stabilizer"
+        assert config.current() is before
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Four contracts are pinned here, end to end:
 2. **The disabled path is free.**  ``tracing.span`` hands out one
    shared no-op singleton when no tracer is active; ``count``/``note``
    early-return.  ``engine_mode(trace=...)`` follows the sub-option
-   discipline: validated pre-mutation, restored on exit, rejected under
-   ``"baseline"``.
+   discipline: validated before the config changes, restored on exit,
+   rejected under ``"baseline"``.
 3. **Every run yields exactly one complete ExecutionReport** — grouped,
    sharded (worker span summaries ship home with each block's counts and
    survive a worker kill), and whole ``run_with_fallback`` ladders.
@@ -31,6 +31,7 @@ from helpers.parity import (
     ghz_t,
     light_noise,
 )
+from repro import config
 from repro.circuits import QuantumCircuit
 from repro.errors import EngineModeError
 from repro.simulator import (
@@ -51,11 +52,11 @@ from repro.testing import Fault, inject_faults
 @pytest.fixture(autouse=True)
 def _recorder_isolation():
     """Every test starts and ends with the recorder disabled and clean."""
-    assert tracing.ENABLED is False
+    assert config.current().trace is False
     assert tracing.active_tracer() is None
     yield
-    tracing.ENABLED = False
-    tracing._ACTIVE = None
+    assert config.current().trace is False
+    assert tracing.active_tracer() is None
     tracing.consume_last_report()
     tracing.reset_exec_counters()
     resilience.reset_counters()
@@ -182,31 +183,31 @@ class TestDisabledPath:
 
 class TestTraceFacade:
     def test_trace_arms_and_restores_the_flag(self):
-        assert tracing.ENABLED is False
+        assert config.current().trace is False
         with engine_mode("fast", trace=True):
-            assert tracing.ENABLED is True
+            assert config.current().trace is True
             with engine_mode("mps", trace=False):
-                assert tracing.ENABLED is False
-            assert tracing.ENABLED is True
-        assert tracing.ENABLED is False
+                assert config.current().trace is False
+            assert config.current().trace is True
+        assert config.current().trace is False
 
     def test_trace_none_leaves_the_recorder_alone(self):
         with engine_mode("fast", trace=True):
             with engine_mode("batched"):
-                assert tracing.ENABLED is True
+                assert config.current().trace is True
 
     def test_trace_restores_after_exception(self):
         with pytest.raises(RuntimeError):
             with engine_mode("fast", trace=True):
                 raise RuntimeError("boom")
-        assert tracing.ENABLED is False
+        assert config.current().trace is False
 
     def test_trace_rejected_under_baseline(self):
         """The seed path stays free of even no-op instrumentation."""
         with pytest.raises(EngineModeError, match="trace"):
             with engine_mode("baseline", trace=True):
                 pass
-        assert tracing.ENABLED is False
+        assert config.current().trace is False
 
     @pytest.mark.parametrize("bad", [1, "on", 0.5])
     def test_trace_validates_type(self, bad):
@@ -218,7 +219,7 @@ class TestTraceFacade:
         with pytest.raises(EngineModeError):
             with engine_mode("fast", trace="yes"):
                 pass
-        assert tracing.ENABLED is False
+        assert config.current().trace is False
 
 
 # ---------------------------------------------------------------------------
