@@ -1,24 +1,23 @@
 """Perf microbenchmarks for batched trajectory execution and sharding.
 
 CI-sized counterparts of the ``batched_ghz_grouped`` /
-``sharded_throughput`` lanes in ``scripts/bench.py``.  The assertions
-are deliberately loose sanity floors (exact numbers belong to the
-harness), but they pin two orderings:
+``sharded_throughput`` lanes in ``scripts/bench.py``.  The dense route
+picks the batched grouped walk by cost; the reference side of each
+comparison forces the scalar walk.  The assertions are deliberately
+loose sanity floors (exact numbers belong to the harness), but they pin
+two orderings:
 
-* at a cache-resident width the batched grouped walk must beat the
-  scalar fast walk outright (its whole reason to exist is dispatch
+* at a cache-resident width the default (batched) walk must beat the
+  forced scalar walk outright (its whole reason to exist is dispatch
   amortization over many stacked trajectory states);
 * at 16–20 qubits — beyond the cache-working-set budget — the batched
-  walk engages only in the **blocked-wide regime** (register wider than
-  a sweep tile *and* realized injection sites sparse enough that the
-  lockstep windows can actually block).  GHZ under per-gate noise has a
-  site at every gate, so the walk must still disengage there and
-  ``engine_mode("batched")`` must track ``"fast"`` exactly; the
-  engaged wide path is covered by ``test_perf_blocked.py`` and the
-  ``batched_wide_grouped`` bench lane.
+  walk never engages, so the default walk must track the forced scalar
+  walk (the identical code path) within timing noise.
 """
 
 import time
+from contextlib import contextmanager
+from unittest import mock
 
 from benchmarks.conftest import report
 from repro.circuits import ghz_circuit
@@ -33,6 +32,13 @@ from repro.simulator import sampler as _sampler
 
 #: Wall-clock assertions tolerate this much CI noise before going red.
 TIMING_SLACK = 1.5
+
+
+@contextmanager
+def _scalar_walk():
+    """Force the dense route onto the scalar grouped walk."""
+    with mock.patch.object(_sampler, "_use_batched_walk", lambda *a, **k: False):
+        yield
 
 
 def _best_of(fn, repeats=3):
@@ -64,13 +70,13 @@ def test_perf_batched_beats_scalar_at_cache_resident_width():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
     with _engine("fast"):
-        scalar = _best_of(run)
-    with _engine("batched"):
+        with _scalar_walk():
+            scalar = _best_of(run)
         batched = _best_of(run)
 
     lines = [
         f"ghz-10, {shots} shots, depolarizing noise, grouped path",
-        f"scalar fast : {scalar * 1e3:8.2f} ms   ({shots / scalar:8.0f} shots/s)",
+        f"scalar walk : {scalar * 1e3:8.2f} ms   ({shots / scalar:8.0f} shots/s)",
         f"batched     : {batched * 1e3:8.2f} ms   ({shots / batched:8.0f} shots/s)",
         f"speedup     : {scalar / batched:8.2f} x",
     ]
@@ -81,26 +87,13 @@ def test_perf_batched_beats_scalar_at_cache_resident_width():
 
 
 def test_perf_batched_ordering_holds_at_wide_registers():
-    """16–20 qubits with ≥8 trajectory groups: GHZ under per-gate noise
-    realizes an injection site at nearly every gate, so the blocked-wide
-    window-length gate keeps the batched walk disengaged (fragmented
-    windows can't block; unblocked wide rows would run DRAM-bound where
-    the scalar walk's suffix sharing wins) and "batched" must track
-    "fast" — never trail it beyond timing noise.  In the gap between
-    the cache-resident and blocked-wide regimes the walk must also
-    disengage regardless of site density: there the scalar walk is
-    cache-resident by construction and stacking rows would evict it."""
-    import numpy as np
-
+    """16–20 qubits with ≥8 trajectory groups: fewer than
+    ``MIN_CHUNK_ROWS`` states fit the cache-working-set budget, so the
+    batched walk must stay disengaged and the default walk must track
+    the forced scalar walk — never trail it beyond timing noise."""
+    from repro import config as _config
     from repro.simulator.engines import select_engine
-    from repro.simulator.engines import dense as _dense
 
-    gap_width = _dense.blocked_tile_qubits()
-    gap_circuit = ghz_circuit(gap_width)
-    with _engine("batched"):
-        assert not _sampler._use_batched_walk(
-            select_engine("batched", gap_circuit), gap_circuit, 64
-        ), f"batched walk engaged in the regime gap at {gap_width} qubits"
     for num_qubits, shots in ((16, 512), (18, 256), (20, 96)):
         circuit = ghz_circuit(num_qubits)
         noise = _noise()
@@ -109,35 +102,26 @@ def test_perf_batched_ordering_holds_at_wide_registers():
             sample_counts(circuit, shots, noise=noise, rng=7)
 
         with _engine("fast"):
-            scalar = _best_of(run, repeats=2)
-        with _engine("batched"):
-            # the realized site density must keep the walk disengaged
-            noisy = _sampler._noisy_ops(circuit, noise, {})
-            groups = _sampler._group_realizations(
-                noisy, shots, np.random.default_rng(7)
-            )
-            ordered = sorted(groups.items(), key=lambda kv: kv[0] or ((1 << 30, 0),))
             assert not _sampler._use_batched_walk(
-                select_engine("batched", circuit),
-                circuit,
-                len(ordered),
-                ordered=ordered,
-            ), f"batched walk engaged on site-dense ghz-{num_qubits}"
-            batched = _best_of(run, repeats=2)
+                select_engine("fast", circuit), circuit, 64, _config.current()
+            ), f"batched walk engaged at {num_qubits} qubits"
+            with _scalar_walk():
+                scalar = _best_of(run, repeats=2)
+            default = _best_of(run, repeats=2)
         # the pinned workload produces well over 8 groups
         noisy = _sampler._noisy_ops(circuit, noise, {})
         assert len(noisy) >= 8
         report(
             f"perf_batched_wide_{num_qubits}q",
             (
-                f"ghz-{num_qubits}, {shots} shots: scalar "
-                f"{scalar * 1e3:.2f} ms, batched {batched * 1e3:.2f} ms "
-                f"(ratio {scalar / batched:.2f}x)"
+                f"ghz-{num_qubits}, {shots} shots: scalar walk "
+                f"{scalar * 1e3:.2f} ms, default {default * 1e3:.2f} ms "
+                f"(ratio {scalar / default:.2f}x)"
             ),
         )
-        assert batched <= scalar * TIMING_SLACK, (
-            f"batched mode slower than fast at {num_qubits} qubits despite "
-            "scalar fallback"
+        assert default <= scalar * TIMING_SLACK, (
+            f"default walk slower than the scalar walk at {num_qubits} "
+            "qubits despite never batching"
         )
 
 

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 from repro.errors import EngineModeError
 
 #: The recognized engine modes (see :func:`repro.simulator.engine_mode`).
-MODES = ("baseline", "fast", "batched", "stabilizer", "hybrid", "mps", "auto")
+MODES = ("baseline", "fast", "stabilizer", "hybrid", "mps", "auto")
 
 #: Every mode but the seed path: ``"baseline"`` stays byte-for-byte
 #: historical, so nothing beyond the mode itself may configure it.
@@ -41,7 +41,7 @@ _ACCELERATED = MODES[1:]
 _FIELD_MODES = {
     "chi": ("mps", "auto"),
     "truncation_threshold": ("mps", "auto"),
-    "batch_max_bytes": ("fast", "batched", "hybrid", "auto"),
+    "batch_max_bytes": ("fast", "hybrid", "auto"),
     "workers": _ACCELERATED,
     "max_state_bytes": _ACCELERATED,
     "trace": _ACCELERATED,

@@ -33,7 +33,6 @@ from repro.simulator.batched import BatchedStateVector
 from repro.simulator.counts import Counts
 from repro.simulator.density import DensityMatrix, simulate_density
 from repro.simulator.engines import (
-    BatchedDenseEngine,
     DenseEngine,
     ExecutionEngine,
     HybridSegmentEngine,
@@ -126,7 +125,6 @@ __all__ = [
     "estimate_resources",
     "run_with_fallback",
     "ExecutionEngine",
-    "BatchedDenseEngine",
     "BatchedStateVector",
     "DenseEngine",
     "TableauEngine",

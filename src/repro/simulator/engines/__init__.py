@@ -47,7 +47,6 @@ from repro.simulator.engines.base import (
     get_engine,
     register_engine,
 )
-from repro.simulator.engines.batched import BatchedDenseEngine
 from repro.simulator.engines.dense import DenseEngine, inject_into_dense
 from repro.simulator.engines.hybrid import HybridSegmentEngine
 from repro.simulator.engines.mps import MPSEngine, MPSState, is_line_like, simulate_mps
@@ -96,10 +95,6 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         Dense engine; ``fast`` auto-routes Clifford circuits *wider than
         the dense limit* to the tableau (historical ≤26-qubit streams
         stay on the dense engine, unchanged).
-    ``batched``
-        Same routing as ``fast``, but dense circuits land on the
-        batched dense engine, whose grouped walk advances every
-        trajectory group in one kernel call per gate.
     ``stabilizer``
         Tableau for every Clifford circuit, dense fallback otherwise.
     ``hybrid``
@@ -127,10 +122,6 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
         if circuit.num_qubits > DENSE_QUBIT_LIMIT and is_clifford_circuit(circuit):
             return tableau
         return dense
-    if mode == "batched":
-        if circuit.num_qubits > DENSE_QUBIT_LIMIT and is_clifford_circuit(circuit):
-            return tableau
-        return get_engine(BatchedDenseEngine.name)
     if mode == "stabilizer":
         return tableau if is_clifford_circuit(circuit) else dense
     if mode == "hybrid":
@@ -204,7 +195,6 @@ def prepare_engine(
 
 __all__ = [
     "ExecutionEngine",
-    "BatchedDenseEngine",
     "DenseEngine",
     "TableauEngine",
     "HybridSegmentEngine",

@@ -499,12 +499,9 @@ def _prepare_tile_items(state, items, indices, tile_qubits):
 
 
 def execute_blocked(state, items, schedule, tile_qubits=None) -> None:
-    """Run one window's materialized *items* under a blocked *schedule*.
-
-    *state* is a :class:`StateVector` or
-    :class:`~repro.simulator.batched.BatchedStateVector` (a batch's
-    ``(rows, 2^n)`` buffer flattens into ``rows · 2^{n-t}`` tiles, so
-    per-tile residency is independent of the row count).  Each sweep
+    """Run one window's materialized *items* under a blocked *schedule*
+    on a :class:`StateVector` (a batched chunk never exceeds the tile,
+    so only single states block).  Each sweep
     segment remaps its placement low, then streams the state tile by
     tile, applying every segment item to the resident tile through the
     scalar kernels on a reusable tile-sized alias.  Remaps are left
@@ -635,15 +632,24 @@ class DenseEngine(ExecutionEngine):
         "block_schedules",
     )
 
-    #: Live ``2^n`` amplitude vectors at the grouped walk's peak: the
-    #: shared clean prefix, the active trajectory fork, and one suffix
-    #: checkpoint.  The admission estimate multiplies by this rather than
-    #: pretending a request costs exactly one state.
+    #: Live ``2^n`` amplitude vectors at the scalar grouped walk's peak:
+    #: the shared clean prefix, the active trajectory fork, and one
+    #: suffix checkpoint.  The admission estimate multiplies by this
+    #: rather than pretending a request costs exactly one state.
     PEAK_STATES = 3
 
     @classmethod
     def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> int:
-        return cls.PEAK_STATES * (16 << circuit.num_qubits)
+        # Where the batched walk can engage, one resident chunk adds its
+        # complex128 amplitudes plus up to twice their size in
+        # transients (the float64 probability and CDF arrays
+        # ``BatchedStateVector.cdfs`` builds, or a rebinding kernel's
+        # output): 48 bytes per stacked amplitude.
+        from repro.simulator.batched import chunk_rows
+
+        n = circuit.num_qubits
+        rows = chunk_rows(n, _config.current().batch_max_bytes)
+        return cls.PEAK_STATES * (16 << n) + rows * (48 << n)
 
     def prepare(self, circuit: QuantumCircuit) -> None:
         with _tracing.span(

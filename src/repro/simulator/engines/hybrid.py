@@ -81,16 +81,17 @@ class HybridSegmentEngine(ExecutionEngine):
 
     @classmethod
     def estimate_peak_bytes(cls, circuit: QuantumCircuit) -> int:
-        # At dense widths the engine may densify outright, so the dense
-        # peak is the honest bound.  Beyond the dense limit densification
-        # is impossible: the peak is the prefix tableau plus the sparse
+        # At dense widths the engine may densify outright, so the scalar
+        # walk's dense peak is the honest bound (this engine never runs
+        # the batched walk).  Beyond the dense limit densification is
+        # impossible: the peak is the prefix tableau plus the sparse
         # tail at its hard entry cap (index + amplitude per entry).
         from repro.simulator.engines.dense import DenseEngine
         from repro.simulator.engines.tableau import TableauEngine
 
         n = circuit.num_qubits
         if n <= DENSE_QUBIT_LIMIT:
-            return DenseEngine.estimate_peak_bytes(circuit)
+            return DenseEngine.PEAK_STATES * (16 << n)
         return TableauEngine.estimate_peak_bytes(circuit) + _WIDE_SPARSE_CAP * 24
 
     def prepare(self, circuit: QuantumCircuit) -> None:

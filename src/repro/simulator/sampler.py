@@ -48,10 +48,11 @@ counts regardless of which engine served them, and seeded hybrid runs
 match the dense engine to float precision.
 
 Two scale-out layers ride on the grouped walk: the **batched** walk
-(:func:`_grouped_batched_walk`, modes ``"batched"``/``"auto"``) stacks
-all trajectory groups into one ``(rows, 2^n)`` array and advances them
-in lockstep windows with one kernel call per gate, preserving the RNG
-stream exactly; and **process-pool sharding**
+(:func:`_grouped_batched_walk`), which the dense route takes by cost
+under every accelerated mode, stacks the trajectory groups into
+cache-resident ``(rows, 2^n)`` chunks and advances them in lockstep
+windows with one kernel call per gate, preserving the RNG stream
+exactly; and **process-pool sharding**
 (:mod:`repro.simulator.sharding`, via ``engine_mode(workers=...)``)
 splits shots into fixed-size blocks with seed-derived streams so any
 worker count reproduces the same counts.
@@ -68,6 +69,12 @@ from repro import config as _config
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.gates import UNITARY_NOOPS
 from repro.errors import SimulationError
+from repro.simulator.batched import (
+    BatchedStateVector,
+    advance_batch_span,
+    chunk_rows,
+    inject_row,
+)
 from repro.simulator.counts import Counts
 from repro.simulator.engines import (
     DenseEngine,
@@ -248,41 +255,10 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
 ENGINE_MODES = _config.MODES
 
 #: Minimum trajectory-group count (clean group included) before the
-#: batched grouped walk engages under the ``"batched"`` / ``"auto"``
-#: modes; below it the scalar prefix-sharing walk wins on setup cost.
-#: Counts are bit-identical either side of it.
+#: dense route's grouped walk runs batched; below it the scalar
+#: prefix-sharing walk wins on setup cost.  Counts are bit-identical
+#: either side of it.
 _MIN_BATCHED_GROUPS = 4
-
-#: Modes whose grouped walk may engage the batched dense path
-#: (``batched`` explicitly; ``auto`` opportunistically when the route
-#: lands on a dense-family engine).
-_BATCHED_WALK_MODES = ("batched", "auto")
-
-#: Minimum rows per chunk for the *cache-resident* batched walk to
-#: engage.  Fewer stacked states than this amortize too little dispatch
-#: to beat the scalar walk's cache residency.  Wider registers engage
-#: the batched walk only when blocked sweeps can restore per-tile
-#: residency (see :func:`_use_batched_walk`).
-_BATCH_MIN_CHUNK_ROWS = 16
-
-#: Rows per chunk for the *blocked wide* batched walk regime, where
-#: cache residency comes from the tiled sweeps (one tile resident at a
-#: time regardless of row count).  Deliberately small: each chunk's
-#: lockstep windows are delimited by the **union** of its rows' injection
-#: sites, so big chunks fragment the windows below the blocked executor's
-#: engagement threshold and the sweeps never fire (measured 0.5× vs the
-#: scalar walk at 64 rows against ~1.05× at 4 rows on 16-qubit noisy
-#: brickwork).
-_WIDE_CHUNK_ROWS = 4
-
-#: Minimum expected unitary ops per lockstep window before the *blocked
-#: wide* batched walk engages.  Below this the realized injection sites
-#: are so dense that most windows are too short for the blocked executor
-#: (``plan_blocked_window`` wants several items per sweep), leaving the
-#: rows to advance unblocked and DRAM-bound — the regime where the
-#: scalar walk's suffix sharing wins (measured 0.56× on GHZ-20 under
-#: per-gate noise vs ~1.05× on deep brickwork under sparse noise).
-_WIDE_MIN_WINDOW_OPS = 24
 
 
 def __getattr__(name: str):
@@ -307,18 +283,15 @@ def engine_mode(mode: str, **options: object) -> Iterator[_config.ExecutionConfi
     ``"fast"`` (the default)
         Specialized state-vector kernels + trajectory prefix-sharing.
         Clifford circuits wider than the dense limit (26 qubits) route
-        through the stabilizer tableau automatically.
+        through the stabilizer tableau automatically.  When a run
+        produces enough trajectory groups on a register narrow enough
+        for cache-resident stacking, the dense grouped walk runs
+        batched (:mod:`repro.simulator.batched`) — as it does under
+        every accelerated mode; seeded counts are unchanged.
     ``"baseline"``
         The seed engine: generic ``moveaxis`` kernels, from-scratch
         trajectory groups, no stabilizer dispatch, no admission control,
         plans or tracing.  The "before" lane of the perf harness.
-    ``"batched"``
-        The fast dense route with the batched grouped walk: when a run
-        produces enough trajectory groups, their states are stacked into
-        one ``(rows, 2^n)`` array and every lockstep window advances all
-        of them in a single kernel call per gate
-        (:mod:`repro.simulator.batched`).  RNG draw order is unchanged,
-        so seeded counts match the scalar ``"fast"`` engine.
     ``"stabilizer"``
         Route every Clifford-only circuit through the tableau backend
         (:mod:`repro.simulator.stabilizer`) regardless of width;
@@ -501,7 +474,7 @@ def _sample_grouped(
     # Engines treat qubits=None as "full register in index order" — the
     # same bits, minus a per-group column-selection copy in every engine.
     sample_qubits = None if qubits == list(range(circuit.num_qubits)) else qubits
-    if _use_batched_walk(engine_cls, circuit, len(ordered), ordered, config):
+    if _use_batched_walk(engine_cls, circuit, len(ordered), config):
         return _grouped_batched_walk(
             circuit, shots, ordered, errors, rng, prefix, prefix_pos, bound, config
         )
@@ -577,78 +550,26 @@ def _sample_grouped(
     return out
 
 
-def _wide_window_ops(circuit: QuantumCircuit, ordered) -> float:
-    """Expected unitary ops per lockstep window were the blocked-wide
-    batched walk to run *ordered*'s realization groups in
-    :data:`_WIDE_CHUNK_ROWS`-row chunks.
-
-    Each chunk's windows are delimited by the union of its rows'
-    injection sites, so the estimate is exact per chunk and averaged
-    across chunks.  No noisy groups means no windows to fragment."""
-    noisy = [key for key, _ in ordered if key]
-    if not noisy:
-        return float("inf")
-    unitary = sum(1 for inst in circuit if inst.name not in UNITARY_NOOPS)
-    boundaries = 0
-    chunks = 0
-    for start in range(0, len(noisy), _WIDE_CHUNK_ROWS):
-        chunk = noisy[start : start + _WIDE_CHUNK_ROWS]
-        boundaries += len({site for key in chunk for site, _ in key})
-        chunks += 1
-    return unitary * chunks / (boundaries + chunks)
-
-
 def _use_batched_walk(
     engine_cls: Type[ExecutionEngine],
     circuit: QuantumCircuit,
     group_count: int,
-    ordered=None,
-    config: Optional[_config.ExecutionConfig] = None,
+    config: _config.ExecutionConfig,
 ) -> bool:
     """Whether the grouped walk should run batched for this request.
 
-    Requires a batched-capable mode, a dense-family route (the tableau,
-    hybrid and MPS backends keep the scalar walk), at least
-    :data:`_MIN_BATCHED_GROUPS` trajectory groups to amortize the batch
-    setup, and a width the walk can serve efficiently.  Two regimes qualify:
-
-    * **cache-resident** — the register is narrow enough that
-      :data:`_BATCH_MIN_CHUNK_ROWS` stacked states fit the
-      config's cache-working-set budget (``batch_max_bytes``); or
-    * **blocked wide** — the register is wider than the blocked sweep
-      executor's tile
-      (:func:`repro.simulator.engines.dense.blocked_tile_qubits`),
-      blocked sweeps are enabled, and the realized injection sites are
-      sparse enough (:func:`_wide_window_ops` against
-      :data:`_WIDE_MIN_WINDOW_OPS`, when *ordered* is supplied) that the
-      lockstep windows will actually block — then per-tile residency is
-      independent of the row count and stacking wins on per-gate
-      dispatch overhead.
-
-    The gap between the two regimes (wider than cache-resident, not yet
-    wider than a tile) keeps the scalar walk, which is cache-resident
-    there by construction.
+    Requires a dense-family route (the tableau, hybrid and MPS backends
+    keep the scalar walk), at least :data:`_MIN_BATCHED_GROUPS`
+    trajectory groups to amortize the batch setup, and a register narrow
+    enough that :data:`~repro.simulator.batched.MIN_CHUNK_ROWS` stacked
+    states fit the config's cache-working-set budget
+    (:func:`~repro.simulator.batched.chunk_rows`).  Wider registers keep
+    the scalar walk, which stays cache-resident per state.
     """
-    if config is None:
-        config = _config.current()
-    if not (
-        config.mode in _BATCHED_WALK_MODES
-        and issubclass(engine_cls, DenseEngine)
-        and group_count >= _MIN_BATCHED_GROUPS
-    ):
-        return False
-    budget = config.batch_max_bytes
-    if (16 << circuit.num_qubits) * _BATCH_MIN_CHUNK_ROWS <= budget:
-        return True
-    from repro.simulator.engines import dense as _dense_mod
-
-    if not (
-        config.blocked_sweeps
-        and circuit.num_qubits > _dense_mod.blocked_tile_qubits(budget)
-    ):
-        return False
     return (
-        ordered is None or _wide_window_ops(circuit, ordered) >= _WIDE_MIN_WINDOW_OPS
+        issubclass(engine_cls, DenseEngine)
+        and group_count >= _MIN_BATCHED_GROUPS
+        and chunk_rows(circuit.num_qubits, config.batch_max_bytes) > 0
     )
 
 
@@ -668,8 +589,10 @@ def _grouped_batched_walk(
 
     Groups arrive in first-error-site order (*ordered*, the same visit
     order as the scalar walk, clean group last).  Noisy groups are
-    stacked — in visit-order chunks bounded by ``batch_max_bytes`` —
-    into a :class:`~repro.simulator.batched.BatchedStateVector`; within
+    stacked — in visit-order chunks of
+    :func:`~repro.simulator.batched.chunk_rows` states, which fit
+    ``batch_max_bytes`` whole — into a
+    :class:`~repro.simulator.batched.BatchedStateVector`; within
     a chunk, the union of the groups' injection sites delimits the
     lockstep windows.  At each window boundary the active rows advance
     together (one kernel call per gate, diagonal-run fusion included);
@@ -690,9 +613,6 @@ def _grouped_batched_walk(
     seeds, as with the hybrid engine) is pinned by
     ``tests/test_batched.py``.
     """
-    from repro.simulator.batched import BatchedStateVector
-    from repro.simulator.engines.batched import BatchedDenseEngine
-
     instructions = list(circuit)
     end = len(instructions)
     mapping = _measurement_map(circuit)
@@ -709,18 +629,7 @@ def _grouped_batched_walk(
     row = 0
     noisy_groups = [kv for kv in ordered if kv[0]]
     n = circuit.num_qubits
-    row_bytes = 16 << n
-    budget = config.batch_max_bytes
-    if row_bytes * _BATCH_MIN_CHUNK_ROWS <= budget:
-        # Cache-resident regime: the whole chunk stays inside the
-        # working-set budget.
-        rows_per_chunk = max(2, budget // row_bytes)
-    else:
-        # Blocked-wide regime: residency comes from the tile sweep, not
-        # the chunk size; chunks stay small so the union of their rows'
-        # injection sites keeps the lockstep windows long enough for the
-        # blocked executor to engage.
-        rows_per_chunk = _WIDE_CHUNK_ROWS
+    rows_per_chunk = chunk_rows(n, config.batch_max_bytes)
     for start in range(0, len(noisy_groups), rows_per_chunk):
         chunk = noisy_groups[start : start + rows_per_chunk]
         batch = BatchedStateVector(n, len(chunk))
@@ -739,28 +648,23 @@ def _grouped_batched_walk(
         for site in sorted(set(joins) | set(later)):
             stop = site + 1
             if active:
-                BatchedDenseEngine.advance_batch_span(
+                advance_batch_span(
                     batch.narrow(active), instructions, batch_pos, stop, bound, config
                 )
             for i, term in joins.get(site, ()):
+                # Same per-group hook, and visit index, as the scalar walk.
+                _faults.fault_point("engine.span", start + i)
                 if prefix_pos < stop:
                     prefix.advance_span(instructions, prefix_pos, stop)
                     prefix_pos = stop
                 batch.set_row(i, prefix.to_dense().data)
-                BatchedDenseEngine.inject_row(
-                    batch, i, instructions[site], errors[site], term
-                )
+                inject_row(batch, i, instructions[site], errors[site], term)
                 active = i + 1
             for i, term in later.get(site, ()):
-                BatchedDenseEngine.inject_row(
-                    batch, i, instructions[site], errors[site], term
-                )
+                inject_row(batch, i, instructions[site], errors[site], term)
             batch_pos = stop
-        if chunk:
-            BatchedDenseEngine.advance_batch_span(
-                batch, instructions, batch_pos, end, bound, config
-            )
-        cdfs = batch.cdfs() if chunk else None
+        advance_batch_span(batch, instructions, batch_pos, end, bound, config)
+        cdfs = batch.cdfs()
         for i, (key, group_shots) in enumerate(chunk):
             u = rng.random(int(group_shots))
             outcomes = np.searchsorted(cdfs[i], u, side="right")
@@ -768,9 +672,13 @@ def _grouped_batched_walk(
             if clbit_cols.size:
                 out[row : row + group_shots, clbit_cols] = sampled
             row += group_shots
+        # Free this chunk before the next one allocates: one resident
+        # chunk is what the admission estimate budgets for.
+        del batch, cdfs
     if ordered and not ordered[-1][0]:
         # The clean group sorts last and *is* the prefix, exactly as in
         # the scalar walk.
+        _faults.fault_point("engine.span", len(noisy_groups))
         _, group_shots = ordered[-1]
         prefix.advance_span(instructions, prefix_pos, end)
         sampled = prefix.sample(

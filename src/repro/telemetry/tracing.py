@@ -1,6 +1,6 @@
 """Execution flight recorder: hierarchical spans, counters, run reports.
 
-The execution core (five engines, a plan cache, shot sharding, a
+The execution core (four engines, a plan cache, shot sharding, a
 fault-tolerance ladder) needs a DCDB-grade telemetry substrate: the
 paper's operations story rests on "continuous and holistic collection
 of operational metrics", and the adaptive-routing work in ROADMAP item 5

@@ -24,8 +24,10 @@ from repro.simulator import (
 
 #: The engine matrix every differential pin sweeps by default.  The
 #: packed tableau is exercised separately (:func:`tableau_class`)
-#: because it is a width policy of ``stabilizer``, not a mode of its own.
-ALL_ENGINE_MODES = ("fast", "batched", "stabilizer", "hybrid", "mps")
+#: because it is a width policy of ``stabilizer``, not a mode of its own;
+#: so is the batched grouped walk (:func:`scalar_walk`), a cost policy
+#: of the dense route.
+ALL_ENGINE_MODES = ("fast", "stabilizer", "hybrid", "mps")
 
 
 def light_noise() -> NoiseModel:
@@ -84,6 +86,19 @@ def tableau_class(cls):
         yield
 
 
+@contextmanager
+def scalar_walk():
+    """Keep the dense route on the scalar grouped walk for the block,
+    overriding the cost policy of
+    :func:`~repro.simulator.sampler._use_batched_walk` so the suites can
+    pit the batched walk (the default wherever it engages) against the
+    scalar reference."""
+    from repro.simulator import sampler
+
+    with mock.patch.object(sampler, "_use_batched_walk", lambda *a, **k: False):
+        yield
+
+
 def assert_counts_identical(a: Counts, b: Counts, context=None) -> None:
     """The bit-identical pin: seeded counts must match exactly."""
     da, db = a.to_dict(), b.to_dict()
@@ -131,5 +146,6 @@ __all__ = [
     "ghz_t",
     "heavy_noise",
     "light_noise",
+    "scalar_walk",
     "tableau_class",
 ]

@@ -3,11 +3,12 @@
 Two scale-out layers over the grouped trajectory sampler, one contract
 each:
 
-* the **batched grouped walk** (`engine_mode("batched")` /
-  ``BatchedDenseEngine``) stacks every trajectory group into one
-  ``(rows, 2^n)`` array and advances all of them per kernel call — a
-  pure performance policy, so seeded counts must be **bit-identical**
-  to the scalar ``"fast"`` walk on every workload;
+* the **batched grouped walk** (the dense route's cost-chosen walk
+  under every accelerated mode) stacks the trajectory groups into
+  cache-resident ``(rows, 2^n)`` chunks and advances all of them per
+  kernel call — a pure performance policy, so seeded counts must be
+  **bit-identical** to the forced scalar walk (``scalar_walk()``) on
+  every workload;
 * **shot sharding** (``engine_mode(workers=...)`` /
   :func:`sample_counts_sharded`) splits shots into fixed blocks with
   per-block seed-derived streams — a documented semantics switch whose
@@ -24,13 +25,13 @@ from helpers.parity import (
     ghz_t as _ghz_t,
     heavy_noise as _heavy_noise,
     light_noise as _noise,
+    scalar_walk,
 )
 from repro import config
 from repro.circuits import ghz_circuit
 from repro.circuits.circuit import QuantumCircuit
 from repro.errors import EngineModeError, SimulationError
 from repro.simulator import (
-    BatchedDenseEngine,
     BatchedStateVector,
     NoiseModel,
     StateVector,
@@ -40,6 +41,7 @@ from repro.simulator import (
     sample_counts_sharded,
     thermal_relaxation_error,
 )
+from repro.simulator import batched as batched_mod
 from repro.simulator import sampler as sampler_mod
 from repro.simulator import sharding as sharding_mod
 from repro.simulator.engines import DenseEngine, select_engine
@@ -152,28 +154,33 @@ class TestBatchedStateVectorUnits:
 
 
 class TestBatchedWalkParity:
-    """Seeded counts under ``engine_mode("batched")`` must be
-    bit-identical to the scalar ``"fast"`` walk: same realization draws,
-    same per-group outcome draws in visit order, same readout stream."""
+    """Seeded counts of the default walk (batched wherever it engages)
+    must be bit-identical to the forced scalar walk: same realization
+    draws, same per-group outcome draws in visit order, same readout
+    stream."""
 
     def _counts(self, qc, mode, seed, noise, shots=512):
         return counts_under_mode(qc, mode, seed, noise=noise, shots=shots)
 
+    def _scalar(self, qc, mode, seed, noise, shots=512):
+        with scalar_walk():
+            return self._counts(qc, mode, seed, noise, shots=shots)
+
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_ghz_grouped_counts_identical(self, seed):
         qc = ghz_circuit(10)
-        fast = self._counts(qc, "fast", seed, _noise())
-        batched = self._counts(qc, "batched", seed, _noise())
-        assert_counts_identical(fast, batched, context=("batched", seed))
+        scalar = self._scalar(qc, "fast", seed, _noise())
+        batched = self._counts(qc, "fast", seed, _noise())
+        assert_counts_identical(scalar, batched, context=("batched", seed))
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_heavy_noise_multi_error_counts_identical(self, seed):
         """Heavy noise on GHZ+T: multi-error groups (mid-walk later
         injections) and diagonal-run fusion windows both in play."""
         qc = _ghz_t(8)
-        fast = self._counts(qc, "fast", seed, _heavy_noise())
-        batched = self._counts(qc, "batched", seed, _heavy_noise())
-        assert_counts_identical(fast, batched, context=("batched-heavy", seed))
+        scalar = self._scalar(qc, "fast", seed, _heavy_noise())
+        batched = self._counts(qc, "fast", seed, _heavy_noise())
+        assert_counts_identical(scalar, batched, context=("batched-heavy", seed))
 
     def test_thermal_reset_noise_counts_identical(self):
         """Reset-type error terms route through the same injection
@@ -184,50 +191,51 @@ class TestBatchedWalkParity:
             QuantumError([ErrorTerm("reset", 0.05)]), "cx"
         )
         qc = ghz_circuit(8)
-        fast = self._counts(qc, "fast", 7, nm)
-        batched = self._counts(qc, "batched", 7, nm)
-        assert fast.to_dict() == batched.to_dict()
+        scalar = self._scalar(qc, "fast", 7, nm)
+        batched = self._counts(qc, "fast", 7, nm)
+        assert scalar.to_dict() == batched.to_dict()
 
     def test_per_shot_circuit_falls_back_identically(self):
-        """Mid-circuit reset forces the per-shot path in both modes —
-        the batched walk must stay out of the way."""
+        """Mid-circuit reset forces the per-shot path under either walk
+        policy — the batched walk must stay out of the way."""
         qc = QuantumCircuit(2)
         qc.h(0)
         qc.reset(1)
         qc.h(1)
         qc.measure(0)
         qc.measure(1)
-        fast = self._counts(qc, "fast", 3, _noise(), shots=256)
-        batched = self._counts(qc, "batched", 3, _noise(), shots=256)
-        assert fast.to_dict() == batched.to_dict()
+        scalar = self._scalar(qc, "fast", 3, _noise(), shots=256)
+        batched = self._counts(qc, "fast", 3, _noise(), shots=256)
+        assert scalar.to_dict() == batched.to_dict()
 
     def test_auto_mode_counts_unchanged_by_batched_walk(self):
         """"auto" engages the batched walk on dense routes; its counts
-        must equal "fast" (which never batches) on the same workload."""
-        qc = ghz_circuit(10)
-        # plain dense route under auto: non-Clifford tail, no Clifford
-        # 2q prefix structure
-        qc_t = _ghz_t(10)
-        fast = self._counts(qc_t, "fast", 7, _noise())
+        must equal the forced scalar walk on the same workload."""
+        # plain dense route under auto: a leading T leaves no Clifford
+        # prefix for the hybrid engine to take
+        qc_t = QuantumCircuit(10)
+        qc_t.t(0)
+        qc_t.h(0)
+        for q in range(9):
+            qc_t.cx(q, q + 1)
+        qc_t.measure_all()
+        assert issubclass(select_engine("auto", qc_t), DenseEngine)
+        scalar = self._scalar(qc_t, "auto", 7, _noise())
         auto = self._counts(qc_t, "auto", 7, _noise())
-        if select_engine("auto", qc_t) is select_engine("fast", qc_t):
-            assert fast.to_dict() == auto.to_dict()
-        del qc
+        assert scalar.to_dict() == auto.to_dict()
 
     def test_batch_min_groups_threshold_is_pure_policy(self, monkeypatch):
         """Counts are identical above or below the group-count
         engagement threshold (scalar fallback)."""
         qc = ghz_circuit(10)
-        with engine_mode("batched"):
-            engaged = sample_counts(qc, 512, noise=_noise(), rng=7)
+        engaged = sample_counts(qc, 512, noise=_noise(), rng=7)
         monkeypatch.setattr(sampler_mod, "_MIN_BATCHED_GROUPS", 10_000)
-        with engine_mode("batched"):
-            scalar = sample_counts(qc, 512, noise=_noise(), rng=7)
+        scalar = sample_counts(qc, 512, noise=_noise(), rng=7)
         assert engaged.to_dict() == scalar.to_dict()
 
     def test_batched_walk_actually_fires(self, monkeypatch):
         """The parity pins above prove nothing if the batched walk never
-        engages — spy on it."""
+        engages under the default config — spy on it."""
         calls = []
         real = sampler_mod._grouped_batched_walk
 
@@ -236,65 +244,57 @@ class TestBatchedWalkParity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
-        with engine_mode("batched"):
-            sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
+        sample_counts(ghz_circuit(10), 512, noise=_noise(), rng=7)
         assert calls, "batched walk did not engage on the pinned workload"
 
     def test_wide_registers_keep_the_scalar_walk_under_dense_sites(
         self, monkeypatch
     ):
-        """Beyond the cache-working-set width the batched walk engages
-        only in the blocked-wide regime, and only when the realized
-        injection sites are sparse enough for the lockstep windows to
-        block.  GHZ under per-gate noise has a site at nearly every
-        gate, so the walk must disengage — and the scalar fallback is
-        the identical code path, so counts match "fast" trivially."""
+        """Beyond the cache-resident width (fewer than
+        ``MIN_CHUNK_ROWS`` states fit ``batch_max_bytes``) the walk stays
+        scalar whatever the group count, so a site-dense 16-qubit GHZ
+        never reaches the batched walk."""
         wide = ghz_circuit(16)
-        engine_cls = select_engine("batched", wide)
+        engine_cls = select_engine("fast", wide)
         assert issubclass(engine_cls, DenseEngine)
-        with engine_mode("batched"):
-            # without realization data the width alone now allows the
-            # blocked-wide regime...
-            assert sampler_mod._use_batched_walk(engine_cls, wide, 64)
-            # ...but in the regime gap (wider than cache-resident, not
-            # wider than a sweep tile) the walk always stays scalar...
-            from repro.simulator.engines import dense as dense_mod
-
-            gap = ghz_circuit(dense_mod.blocked_tile_qubits())
-            assert not sampler_mod._use_batched_walk(
-                select_engine("batched", gap), gap, 64
-            )
-            # ...and per-gate noise fragments the windows below the
-            # engagement threshold, so realization data vetoes it.
-            noisy = sampler_mod._noisy_ops(wide, _noise(), {})
-            groups = sampler_mod._group_realizations(
-                noisy, 128, np.random.default_rng(7)
-            )
-            ordered = sorted(
-                groups.items(), key=lambda kv: kv[0] or ((1 << 30, 0),)
-            )
-            assert not sampler_mod._use_batched_walk(
-                engine_cls, wide, len(ordered), ordered=ordered
-            )
+        assert not sampler_mod._use_batched_walk(
+            engine_cls, wide, 10_000, config.current()
+        )
 
         def boom(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("batched walk engaged on site-dense ghz")
+            raise AssertionError("batched walk engaged on a wide register")
 
         monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", boom)
-        fast = self._counts(wide, "fast", 7, _noise(), shots=128)
-        batched = self._counts(wide, "batched", 7, _noise(), shots=128)
-        assert fast.to_dict() == batched.to_dict()
+        default = self._counts(wide, "fast", 7, _noise(), shots=128)
+        scalar = self._scalar(wide, "fast", 7, _noise(), shots=128)
+        assert default.to_dict() == scalar.to_dict()
 
-    def test_batched_engine_registered_and_routed(self):
-        from repro.simulator.engines import get_engine
+    def test_batched_mode_is_rejected(self):
+        """``"batched"`` is no longer a mode: asking for it raises before
+        anything is installed."""
+        before = config.current()
+        with pytest.raises(EngineModeError, match="batched"):
+            with engine_mode("batched"):
+                pass  # pragma: no cover
+        assert config.current() is before
 
-        assert get_engine("batched") is BatchedDenseEngine
-        assert select_engine("batched", ghz_circuit(8)) is BatchedDenseEngine
-        # wide Clifford still routes to the tableau
-        from repro.simulator.engines import TableauEngine
-
-        assert select_engine("batched", ghz_circuit(40)) is get_engine(
-            TableauEngine.name
+    def test_engagement_follows_the_chunk_width(self):
+        """The walk engages exactly where ``chunk_rows`` fits a chunk:
+        dense routes only, at least ``_MIN_BATCHED_GROUPS`` groups, under
+        every accelerated mode whose route lands on the dense engine."""
+        active = config.current()
+        budget = active.batch_max_bytes
+        for n in (2, 10, 13, 14, 20):
+            qc = _ghz_t(n)
+            fits = batched_mod.chunk_rows(n, budget) > 0
+            assert fits == (16 * (16 << n) <= budget)
+            for mode in ("fast", "stabilizer"):
+                engine_cls = select_engine(mode, qc)
+                assert sampler_mod._use_batched_walk(engine_cls, qc, 64, active) == fits
+                assert not sampler_mod._use_batched_walk(engine_cls, qc, 3, active)
+        tableau = select_engine("stabilizer", ghz_circuit(8))
+        assert not sampler_mod._use_batched_walk(
+            tableau, ghz_circuit(8), 64, active
         )
 
 
@@ -315,6 +315,29 @@ class TestSharding:
                 qc, 1000, noise=noise_fn(), seed=7, workers=workers
             )
             assert counts.to_dict() == reference.to_dict(), workers
+
+    def test_sharded_blocks_take_the_batched_walk(self, monkeypatch):
+        """Each block runs the single-stream driver, so the dense route
+        batches inside blocks too (resuming from the shared clean
+        prefix) — with the forced scalar walk's counts."""
+        calls = []
+        real = sampler_mod._grouped_batched_walk
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sampler_mod, "_grouped_batched_walk", spy)
+        qc = ghz_circuit(10)
+        # cx-only noise leaves the leading h as a shared clean prefix
+        nm = NoiseModel()
+        nm.add_gate_error(depolarizing_error(0.02, 2), "cx")
+        assert sharding_mod._clean_prefix_state(qc, nm, {}) is not None
+        default = sample_counts_sharded(qc, 1000, noise=nm, seed=7, workers=1)
+        assert calls, "batched walk did not engage inside the shard blocks"
+        with scalar_walk():
+            scalar = sample_counts_sharded(qc, 1000, noise=nm, seed=7, workers=1)
+        assert default.to_dict() == scalar.to_dict()
 
     def test_facade_matches_direct_call(self):
         qc = ghz_circuit(8)
@@ -407,7 +430,7 @@ class TestEngineModeBatchOptions:
         """The group-count threshold is a cost policy, not a knob: the
         old ``batch_min_groups`` keyword is rejected under every mode."""
         before = config.current()
-        for mode in ("fast", "baseline", "stabilizer", "mps", "hybrid", "batched"):
+        for mode in ("fast", "baseline", "stabilizer", "mps", "hybrid"):
             with pytest.raises(EngineModeError, match="batch_min_groups"):
                 with engine_mode(mode, batch_min_groups=8):
                     pass  # pragma: no cover
@@ -427,13 +450,13 @@ class TestEngineModeBatchOptions:
             with engine_mode("fast", workers=bad):
                 pass  # pragma: no cover
         with pytest.raises(EngineModeError, match="batch_max_bytes"):
-            with engine_mode("batched", batch_max_bytes=bad):
+            with engine_mode("auto", batch_max_bytes=bad):
                 pass  # pragma: no cover
         assert config.current() is before
 
     def test_valid_values_applied_and_restored(self):
         before = config.current()
-        with engine_mode("batched", batch_max_bytes=4096):
+        with engine_mode("fast", batch_max_bytes=4096):
             assert config.current().batch_max_bytes == 4096
             assert config.current().workers is None
         with engine_mode("auto", workers=2):
@@ -465,7 +488,7 @@ class TestEngineModeBatchOptions:
 
     def test_batch_max_bytes_applied_and_restored(self):
         before = config.current().batch_max_bytes
-        for mode in ("fast", "batched", "hybrid", "auto"):
+        for mode in ("fast", "hybrid", "auto"):
             with engine_mode(mode, batch_max_bytes=65536):
                 assert config.current().batch_max_bytes == 65536
             assert config.current().batch_max_bytes == before

@@ -177,7 +177,7 @@ def test_run_only_fields_share_one_cached_plan():
     plans.plan_cache_clear()
     with engine_mode("fast"):
         first = plans.plan_for(qc)
-    with engine_mode("batched", trace=True, workers=2, max_state_bytes=1 << 30):
+    with engine_mode("auto", trace=True, workers=2, max_state_bytes=1 << 30):
         assert plans.plan_for(qc) is first
     with engine_mode("fast", fuse_diagonal_runs=False):
         assert plans.plan_for(qc) is not first

@@ -152,7 +152,7 @@ def test_architecture_doc_covers_batched_and_sharding():
     for needle in (
         "Batched execution",
         "BatchedStateVector",
-        "BatchedDenseEngine",
+        "advance_batch_span",
         "lockstep",
         "ExecutionConfig",
         "_MIN_BATCHED_GROUPS",
@@ -185,7 +185,7 @@ def test_architecture_doc_covers_blocked_execution():
         "block_schedules",
         "batch_max_bytes",
         "blocked_wide_dense",
-        "batched_wide_grouped",
+        "chunk_rows",
         "tests/test_blocked.py",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
@@ -198,7 +198,6 @@ def test_readme_covers_blocked_execution():
     for needle in (
         "cache-blocked sweeps",
         "blocked_wide_dense",
-        "batched_wide_grouped",
         "batch_max_bytes",
     ):
         assert needle in text, f"README lost the {needle!r} coverage"

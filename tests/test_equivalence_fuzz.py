@@ -15,11 +15,13 @@ Five shape families cover the distinct execution regimes:
 * ``parameterized`` — random rotation angles: block fusion on
   non-diagonal runs, rebinding against a shared structural hash;
 * ``noisy`` — depolarizing noise: the grouped walk's fork/injection
-  machinery under plans;
+  machinery under plans, swept under both walk policies (the batched
+  walk the dense route picks by cost, and ``scalar_walk()``), which
+  must also agree with each other;
 * ``mid_measure`` — mid-circuit measure/reset: the per-shot event walk;
 * ``wide`` — deep registers past the blocked-sweep tile: cache-blocked
-  execution plus the lazy qubit remap, fuzzed on **two** axes (planned
-  vs unplanned, blocked vs unblocked).  Tier-1 shrinks the tile via
+  execution plus the lazy qubit remap on the scalar walk, fuzzed on
+  **two** axes (planned vs unplanned, blocked vs unblocked).  Tier-1 shrinks the tile via
   ``batch_max_bytes`` so 8–10 qubits already count as wide; the deep
   budget runs the real 16–20 qubit registers.
 
@@ -30,7 +32,12 @@ hundreds of circuits per invocation (the acceptance budget).
 import numpy as np
 import pytest
 
-from helpers.parity import assert_counts_identical, counts_under_mode, tableau_class
+from helpers.parity import (
+    assert_counts_identical,
+    counts_under_mode,
+    scalar_walk,
+    tableau_class,
+)
 from repro.circuits import QuantumCircuit
 from repro.simulator import NoiseModel, PackedTableau, depolarizing_error
 
@@ -170,6 +177,15 @@ def _assert_blocked_equals_unblocked(
         assert_counts_identical(blocked, unblocked, context=("blocked", mode, seed))
 
 
+def _assert_batched_equals_scalar(qc, seed, noise=None, shots=128):
+    """The walk-policy axis: the default walk (batched wherever the
+    cost policy engages it) must reproduce the forced scalar walk."""
+    default = counts_under_mode(qc, "fast", seed, noise=noise, shots=shots)
+    with scalar_walk():
+        scalar = counts_under_mode(qc, "fast", seed, noise=noise, shots=shots)
+    assert_counts_identical(default, scalar, context=("scalar-walk", seed))
+
+
 def _assert_planned_equals_unplanned(
     qc, modes, seed, noise=None, shots=128, **mode_options
 ):
@@ -205,7 +221,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 7))
             qc = _random_clifford(rng, n, int(rng.integers(8, 30)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched", "stabilizer", "hybrid", "mps"), seed=i
+                qc, ("fast", "stabilizer", "hybrid", "mps"), seed=i
             )
             # the packed word-parallel tableau is a width policy, swept
             # explicitly so narrow fuzz circuits exercise it too
@@ -218,7 +234,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 7))
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 30)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched", "hybrid", "mps"), seed=i
+                qc, ("fast", "hybrid", "mps"), seed=i
             )
 
     def test_parameterized_family(self, fuzz_deep):
@@ -227,7 +243,7 @@ class TestPlannedVsUnplannedFuzz:
             n = int(rng.integers(2, 6))
             qc = _random_parameterized(rng, n, int(rng.integers(8, 24)))
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched", "hybrid", "mps"), seed=i
+                qc, ("fast", "hybrid", "mps"), seed=i
             )
 
     def test_noisy_family(self, fuzz_deep):
@@ -235,12 +251,13 @@ class TestPlannedVsUnplannedFuzz:
         for i in range(_budget(fuzz_deep)):
             n = int(rng.integers(2, 6))
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 20)))
+            noise = _fuzz_noise(rng)
             _assert_planned_equals_unplanned(
-                qc,
-                ("fast", "batched", "hybrid", "mps"),
-                seed=i,
-                noise=_fuzz_noise(rng),
+                qc, ("fast", "hybrid", "mps"), seed=i, noise=noise
             )
+            with scalar_walk():
+                _assert_planned_equals_unplanned(qc, ("fast",), seed=i, noise=noise)
+            _assert_batched_equals_scalar(qc, seed=i, noise=noise)
 
     def test_mid_measure_family(self, fuzz_deep):
         rng = np.random.default_rng(5005)
@@ -270,10 +287,10 @@ class TestPlannedVsUnplannedFuzz:
                 depolarizing_error(float(rng.uniform(0.01, 0.03)), 2), "cx"
             )
             _assert_planned_equals_unplanned(
-                qc, ("fast", "batched"), seed=i, noise=nm, shots=shots, **opts
+                qc, ("fast",), seed=i, noise=nm, shots=shots, **opts
             )
             _assert_blocked_equals_unblocked(
-                qc, ("fast", "batched"), seed=i, noise=nm, shots=shots, **opts
+                qc, ("fast",), seed=i, noise=nm, shots=shots, **opts
             )
 
     def test_wide_family_per_shot(self, fuzz_deep):
@@ -377,12 +394,12 @@ class TestTracedVsUntracedFuzz:
         for i in range(_budget(fuzz_deep)):
             n = int(rng.integers(2, 7))
             qc = _random_clifford_t(rng, n, int(rng.integers(8, 24)))
+            noise = _fuzz_noise(rng)
             _assert_traced_equals_untraced(
-                qc,
-                ("fast", "batched", "hybrid", "mps"),
-                seed=i,
-                noise=_fuzz_noise(rng),
+                qc, ("fast", "hybrid", "mps"), seed=i, noise=noise
             )
+            with scalar_walk():
+                _assert_traced_equals_untraced(qc, ("fast",), seed=i, noise=noise)
 
     def test_traced_mid_measure_family(self, fuzz_deep):
         rng = np.random.default_rng(9009)

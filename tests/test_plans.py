@@ -15,10 +15,12 @@ Three contracts under test:
   directly).
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from helpers.parity import counts_under_mode, ghz_t
+from helpers.parity import counts_under_mode, ghz_t, scalar_walk
 from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.circuits.parameters import Parameter, parameter_slots
 from repro.circuits.serialize import structural_hash
@@ -29,7 +31,6 @@ from repro.qpu import Topology
 from repro.simulator import engine_mode
 from repro.simulator.engines import dense as dense_mod
 from repro.simulator.engines import (
-    BatchedDenseEngine,
     DenseEngine,
     HybridSegmentEngine,
     MPSEngine,
@@ -229,7 +230,6 @@ class TestPlanArtifacts:
             "block_matrices",
             "block_schedules",
         )
-        assert BatchedDenseEngine.plan_artifacts == DenseEngine.plan_artifacts
         assert TableauEngine.plan_artifacts == ()
         assert HybridSegmentEngine.plan_artifacts == ("clifford_boundary",)
         assert MPSEngine.plan_artifacts == ("swap_routes",)
@@ -326,13 +326,20 @@ class TestPlannedExecutionParity:
     """Direct planned-vs-unplanned pins (the fuzz suite broadens these
     over random circuits)."""
 
-    @pytest.mark.parametrize("mode", ["fast", "batched", "hybrid", "mps"])
-    def test_grouped_walk_counts_identical(self, mode):
+    @pytest.mark.parametrize(
+        "mode,walk",
+        [pytest.param(mode, nullcontext, id=mode) for mode in ("fast", "hybrid", "mps")]
+        + [pytest.param("fast", scalar_walk, id="scalar")],
+    )
+    def test_grouped_walk_counts_identical(self, mode, walk):
         from helpers.parity import heavy_noise
 
         qc = ghz_t(6)
-        planned = counts_under_mode(qc, mode, 7, noise=heavy_noise())
-        unplanned = counts_under_mode(qc, mode, 7, noise=heavy_noise(), plans=False)
+        with walk():
+            planned = counts_under_mode(qc, mode, 7, noise=heavy_noise())
+            unplanned = counts_under_mode(
+                qc, mode, 7, noise=heavy_noise(), plans=False
+            )
         assert planned.to_dict() == unplanned.to_dict()
 
     def test_per_shot_walk_counts_identical(self):

@@ -24,12 +24,19 @@ Four contracts are pinned here, end to end:
 from __future__ import annotations
 
 import time
+import tracemalloc
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from helpers.parity import assert_counts_identical, counts_under_mode, ghz_t
+from helpers.parity import (
+    assert_counts_identical,
+    counts_under_mode,
+    ghz_t,
+    light_noise,
+    scalar_walk,
+)
 from repro import config
 from repro.circuits import ghz_circuit
 from repro.errors import (
@@ -48,6 +55,7 @@ from repro.simulator import (
     sample_counts,
 )
 from repro.simulator import sharding
+from repro.simulator.batched import chunk_rows
 from repro.simulator.engines.dense import DenseEngine
 from repro.simulator.resilience import (
     DEFAULT_MAX_STATE_BYTES,
@@ -351,6 +359,38 @@ class TestAdmissionControl:
         assert not instantiated, "admission must run before engine allocation"
         assert resilience.counters()["admission_rejects"] == 1
 
+    def test_26_qubit_dense_admits_under_the_default_config(self):
+        """No stacked chunk fits at 26 qubits, so the estimate stays the
+        scalar walk's three states — exactly the default budget."""
+        with engine_mode("fast"):
+            estimate = check_admission(ghz_t(26))
+        assert estimate.engine == "dense"
+        assert estimate.peak_bytes == DEFAULT_MAX_STATE_BYTES
+
+    def test_chunk_estimate_covers_the_measured_batched_increment(self):
+        """At 12 qubits the batched walk engages; the memory it adds over
+        the forced scalar walk (tracemalloc peaks) must stay within what
+        the estimate adds over the scalar walk's ``PEAK_STATES``."""
+        qc = ghz_circuit(12)
+
+        def peak():
+            sample_counts(qc, 1024, noise=light_noise(), rng=7)  # warm caches
+            tracemalloc.start()
+            try:
+                sample_counts(qc, 1024, noise=light_noise(), rng=7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        batched = peak()
+        with scalar_walk():
+            scalar = peak()
+        extra = DenseEngine.estimate_peak_bytes(qc) - DenseEngine.PEAK_STATES * (
+            16 << 12
+        )
+        assert extra > 0
+        assert 0 < batched - scalar <= extra
+
     def test_sharded_path_rejects_before_forking(self):
         with engine_mode("fast"):
             with pytest.raises(ResourceAdmissionError):
@@ -367,7 +407,7 @@ class TestAdmissionControl:
         """The default budget is calibrated so every width the stack
         could already serve still admits — 26-qubit dense exactly."""
         qc = ghz_t(4)
-        for mode in ("fast", "batched", "stabilizer", "hybrid", "mps", "auto"):
+        for mode in ("fast", "stabilizer", "hybrid", "mps", "auto"):
             estimate = check_admission(qc, mode)
             assert estimate.peak_bytes is not None
             assert estimate.peak_bytes <= DEFAULT_MAX_STATE_BYTES
@@ -386,9 +426,13 @@ class TestAdmissionControl:
 
         dense = estimate_resources(qc, "fast")
         assert dense.engine == "dense"
-        assert dense.peak_bytes == 3 * (16 << 10)
-        batched = estimate_resources(qc, "batched")
-        assert batched.peak_bytes == dense.peak_bytes + active.batch_max_bytes
+        # 10 qubits stack cache-resident: one chunk rides on top of the
+        # scalar walk's three states
+        rows = chunk_rows(10, active.batch_max_bytes)
+        assert rows > 0
+        assert dense.peak_bytes == 3 * (16 << 10) + rows * (48 << 10)
+        # past the resident widths no chunk can exist, so none is counted
+        assert estimate_resources(ghz_t(14), "fast").peak_bytes == 3 * (16 << 14)
         mps = estimate_resources(qc, "mps")
         assert mps.peak_bytes == 2 * 10 * (2 * active.chi * active.chi * 16)
 
@@ -534,7 +578,6 @@ class TestFallbackLadder:
         module, docs quote it, tests freeze it."""
         assert FALLBACK_CHAINS == {
             "fast": ("mps",),
-            "batched": ("fast", "mps"),
             "stabilizer": ("fast", "mps"),
             "hybrid": ("mps",),
             "mps": ("hybrid", "fast"),

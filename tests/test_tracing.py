@@ -22,6 +22,8 @@ Four contracts are pinned here, end to end:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from helpers.parity import (
@@ -30,6 +32,7 @@ from helpers.parity import (
     counts_under_mode,
     ghz_t,
     light_noise,
+    scalar_walk,
 )
 from repro import config
 from repro.circuits import QuantumCircuit
@@ -43,6 +46,7 @@ from repro.simulator import (
     sample_counts,
 )
 from repro.simulator import sharding
+from repro.simulator.engines import DenseEngine
 from repro.simulator.sharding import sample_counts_sharded
 from repro.telemetry import tracing
 from repro.telemetry.tracing import ExecutionReport, SpanRecord, Tracer
@@ -193,7 +197,7 @@ class TestTraceFacade:
 
     def test_trace_none_leaves_the_recorder_alone(self):
         with engine_mode("fast", trace=True):
-            with engine_mode("batched"):
+            with engine_mode("auto"):
                 assert config.current().trace is True
 
     def test_trace_restores_after_exception(self):
@@ -228,13 +232,18 @@ class TestTraceFacade:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("mode", ALL_ENGINE_MODES)
-    def test_grouped_walk(self, mode):
+    @pytest.mark.parametrize(
+        "mode,walk",
+        [pytest.param(mode, nullcontext, id=mode) for mode in ALL_ENGINE_MODES]
+        + [pytest.param("fast", scalar_walk, id="scalar")],
+    )
+    def test_grouped_walk(self, mode, walk):
         qc = ghz_t(5)
-        plain = counts_under_mode(qc, mode, 7, noise=light_noise(), shots=256)
-        traced = counts_under_mode(
-            qc, mode, 7, noise=light_noise(), shots=256, trace=True
-        )
+        with walk():
+            plain = counts_under_mode(qc, mode, 7, noise=light_noise(), shots=256)
+            traced = counts_under_mode(
+                qc, mode, 7, noise=light_noise(), shots=256, trace=True
+            )
         assert_counts_identical(plain, traced, context=("grouped", mode))
 
     @pytest.mark.parametrize("mode", ("fast", "hybrid", "mps"))
@@ -272,7 +281,7 @@ class TestExecutionReport:
         assert report.num_qubits == 5
         assert report.shots == 256
         assert report.wall_seconds > 0.0
-        assert report.estimated_peak_bytes == 3 * (16 << 5)
+        assert report.estimated_peak_bytes == DenseEngine.estimate_peak_bytes(qc)
         for phase in (
             "sampler.run",
             "sampler.grouped",
