@@ -16,10 +16,10 @@ two orderings:
 """
 
 import time
-from contextlib import contextmanager
 from unittest import mock
 
 from benchmarks.conftest import report
+from benchmarks.timing import best_of, under
 from repro.circuits import ghz_circuit
 from repro.simulator import (
     NoiseModel,
@@ -34,20 +34,19 @@ from repro.simulator import sampler as _sampler
 TIMING_SLACK = 1.5
 
 
-@contextmanager
 def _scalar_walk():
     """Force the dense route onto the scalar grouped walk."""
-    with mock.patch.object(_sampler, "_use_batched_walk", lambda *a, **k: False):
-        yield
+    return mock.patch.object(_sampler, "_use_batched_walk", lambda *a, **k: False)
 
 
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _ghz_t(num_qubits):
+    """GHZ plus a T layer: the dense route's workload at widths where the
+    ``"fast"`` route sends a plain (Clifford) GHZ to the tableau."""
+    circuit = ghz_circuit(num_qubits, measure=False)
+    for q in range(num_qubits):
+        circuit.t(q)
+    circuit.measure_all()
+    return circuit
 
 
 def _noise():
@@ -69,10 +68,7 @@ def test_perf_batched_beats_scalar_at_cache_resident_width():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"):
-        with _scalar_walk():
-            scalar = _best_of(run)
-        batched = _best_of(run)
+    scalar, batched = best_of(under("fast", run, _scalar_walk()), under("fast", run))
 
     lines = [
         f"ghz-10, {shots} shots, depolarizing noise, grouped path",
@@ -90,31 +86,34 @@ def test_perf_batched_ordering_holds_at_wide_registers():
     """16–20 qubits with ≥8 trajectory groups: fewer than
     ``MIN_CHUNK_ROWS`` states fit the cache-working-set budget, so the
     batched walk must stay disengaged and the default walk must track
-    the forced scalar walk — never trail it beyond timing noise."""
+    the forced scalar walk — never trail it beyond timing noise.  The
+    workload is GHZ+T, which the ``"fast"`` route keeps dense."""
     from repro import config as _config
-    from repro.simulator.engines import select_engine
+    from repro.simulator.engines import DenseEngine, select_engine
 
     for num_qubits, shots in ((16, 512), (18, 256), (20, 96)):
-        circuit = ghz_circuit(num_qubits)
+        circuit = _ghz_t(num_qubits)
         noise = _noise()
 
         def run():
             sample_counts(circuit, shots, noise=noise, rng=7)
 
         with _engine("fast"):
+            engine_cls = select_engine("fast", circuit)
+            assert engine_cls is DenseEngine
             assert not _sampler._use_batched_walk(
-                select_engine("fast", circuit), circuit, 64, _config.current()
+                engine_cls, circuit, 64, _config.current()
             ), f"batched walk engaged at {num_qubits} qubits"
-            with _scalar_walk():
-                scalar = _best_of(run, repeats=2)
-            default = _best_of(run, repeats=2)
+        scalar, default = best_of(
+            under("fast", run, _scalar_walk()), under("fast", run), repeats=2
+        )
         # the pinned workload produces well over 8 groups
         noisy = _sampler._noisy_ops(circuit, noise, {})
         assert len(noisy) >= 8
         report(
             f"perf_batched_wide_{num_qubits}q",
             (
-                f"ghz-{num_qubits}, {shots} shots: scalar walk "
+                f"ghz+t-{num_qubits}, {shots} shots: scalar walk "
                 f"{scalar * 1e3:.2f} ms, default {default * 1e3:.2f} ms "
                 f"(ratio {scalar / default:.2f}x)"
             ),

@@ -13,35 +13,14 @@ harness), but they pin the orderings that make blocking worth shipping:
   be a regression).
 """
 
-import time
-
 from benchmarks.conftest import report
+from benchmarks.timing import best_of, under
 from repro.circuits import brickwork_circuit
-from repro.simulator import engine_mode as _engine
 from repro.simulator.engines import DenseEngine
 from repro.simulator.engines import dense as _dense
 
 #: Wall-clock assertions tolerate this much CI noise before going red.
 TIMING_SLACK = 1.5
-
-
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _advance_seconds(circuit, blocked, repeats=3):
-    ops = list(circuit)
-
-    def advance_once():
-        DenseEngine(circuit).advance(ops)
-
-    with _engine("fast", blocked_sweeps=blocked):
-        return _best_of(advance_once, repeats)
 
 
 def test_perf_blocked_sweeps_beat_plain_advance_past_the_tile():
@@ -50,8 +29,15 @@ def test_perf_blocked_sweeps_beat_plain_advance_past_the_tile():
     per sweep blocked.  The committed bench floor is 1.3×; here we
     require the blocked lane simply wins with slack."""
     circuit = brickwork_circuit(16, 8, measure=False)
-    unblocked = _advance_seconds(circuit, blocked=False)
-    blocked = _advance_seconds(circuit, blocked=True)
+    ops = list(circuit)
+
+    def advance_once():
+        DenseEngine(circuit).advance(ops)
+
+    unblocked, blocked = best_of(
+        under("fast", advance_once, blocked_sweeps=False),
+        under("fast", advance_once),
+    )
     report(
         "perf_blocked_wide_dense",
         f"16q x depth-8 brickwork dense advance\n"

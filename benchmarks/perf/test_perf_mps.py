@@ -13,6 +13,7 @@ truncation loss at the default bond cap.
 import time
 
 from benchmarks.conftest import report
+from benchmarks.timing import best_of, under
 from repro.circuits import brickwork_circuit
 from repro.simulator import (
     NoiseModel,
@@ -24,15 +25,6 @@ from repro.simulator import (
 
 #: Wall-clock assertions tolerate this much CI noise before going red.
 TIMING_SLACK = 1.5
-
-
-def _best_of(fn, repeats=2):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _noise():
@@ -53,10 +45,7 @@ def test_perf_mps_vs_dense_brickwork():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"):
-        dense = _best_of(run)
-    with _engine("mps"):
-        mps = _best_of(run)
+    dense, mps = best_of(under("fast", run), under("mps", run), repeats=2)
 
     lines = [
         f"brickwork-18 x4, {shots} shots, depolarizing noise, grouped path",

@@ -20,6 +20,7 @@ from unittest import mock
 import numpy as np
 
 from benchmarks.conftest import report
+from benchmarks.timing import best_of, under
 from repro.circuits import ghz_circuit
 from repro.circuits.gates import cx_matrix, rz_matrix, spec
 from repro.simulator import (
@@ -38,15 +39,6 @@ GATE_REPS = 40
 
 #: Wall-clock assertions tolerate this much CI noise before going red.
 TIMING_SLACK = 1.5
-
-
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _gate_loop(matrix, arity):
@@ -71,10 +63,7 @@ def test_perf_gate_kernels():
     lines = [f"{'kernel':<16s} {'generic':>10s} {'fast':>10s} {'speedup':>8s}"]
     for label, matrix, arity in cases:
         run = _gate_loop(matrix, arity)
-        with _engine("baseline"):
-            generic = _best_of(run)
-        with _engine("fast"):
-            fast = _best_of(run)
+        generic, fast = best_of(under("baseline", run), under("fast", run))
         lines.append(
             f"{label:<16s} {generic * 1e3:>8.2f}ms {fast * 1e3:>8.2f}ms "
             f"{generic / fast:>7.2f}x"
@@ -95,10 +84,7 @@ def test_perf_prefix_sharing_sampler():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("baseline"):
-        baseline = _best_of(run, repeats=2)
-    with _engine("fast"):
-        fast = _best_of(run, repeats=2)
+    baseline, fast = best_of(under("baseline", run), under("fast", run), repeats=2)
     lines = [
         f"GHZ-12, {shots} shots, depolarizing noise, grouped path",
         f"seed engine : {baseline * 1e3:8.2f} ms   "
@@ -115,7 +101,9 @@ def test_perf_prefix_sharing_sampler():
 def test_perf_stabilizer_vs_dense():
     """The tableau backend must beat the fast dense engine on Clifford
     grouped sampling, and stay interactive at widths the dense engine
-    cannot represent at all."""
+    cannot represent at all.  At 12 qubits the ``"fast"`` route keeps
+    GHZ dense (the batched walk can stack it); ``"auto"`` routes every
+    Clifford circuit to the tableau."""
     circuit = ghz_circuit(12)
     noise = NoiseModel()
     noise.add_gate_error(depolarizing_error(0.01, 2), "cx")
@@ -125,13 +113,10 @@ def test_perf_stabilizer_vs_dense():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"):
-        dense = _best_of(run, repeats=2)
-    with _engine("stabilizer"):
-        stab = _best_of(run, repeats=2)
+    dense, stab = best_of(under("fast", run), under("auto", run), repeats=2)
 
     wide = ghz_circuit(64)
-    with _engine("stabilizer"):
+    with _engine("fast"):
         start = time.perf_counter()
         sample_counts(wide, shots, noise=noise, rng=7)
         wide_seconds = time.perf_counter() - start
@@ -171,10 +156,7 @@ def test_perf_hybrid_segment():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    with _engine("fast"):
-        dense = _best_of(run, repeats=2)
-    with _engine("hybrid"):
-        hybrid = _best_of(run, repeats=2)
+    dense, hybrid = best_of(under("fast", run), under("hybrid", run), repeats=2)
 
     wide = ghz_circuit(40, measure=False)
     for q in range(40):
@@ -229,18 +211,17 @@ def test_perf_packed_vs_uint8_tableau():
     def run():
         sample_counts(circuit, shots, noise=noise, rng=7)
 
-    # each lane serves the tableau engine from one class directly
-    with _engine("stabilizer"), mock.patch.object(
-        _tableau_engine, "make_tableau", Tableau
-    ):
-        uint8 = _best_of(run, repeats=2)
-    with _engine("stabilizer"), mock.patch.object(
-        _tableau_engine, "make_tableau", PackedTableau
-    ):
-        packed = _best_of(run, repeats=2)
+    # each lane serves the tableau engine (the "fast" route at this
+    # width) from one class directly
+    def lane(tableau_cls):
+        return under(
+            "fast", run, mock.patch.object(_tableau_engine, "make_tableau", tableau_cls)
+        )
+
+    uint8, packed = best_of(lane(Tableau), lane(PackedTableau), repeats=2)
 
     wide = ghz_circuit(1024)
-    with _engine("stabilizer"):  # width policy: packed at this width
+    with _engine("fast"):  # width policy: packed at this width
         start = time.perf_counter()
         sample_counts(wide, shots, noise=noise, rng=7)
         wide_seconds = time.perf_counter() - start
@@ -282,10 +263,9 @@ def test_perf_diagonal_run_fusion():
     def run():
         DenseEngine(circuit).advance(ops)
 
-    with _engine("fast", fuse_diagonal_runs=False):
-        unfused = _best_of(run, repeats=2)
-    with _engine("fast"):
-        fused = _best_of(run, repeats=2)
+    unfused, fused = best_of(
+        under("fast", run, fuse_diagonal_runs=False), under("fast", run), repeats=2
+    )
 
     lines = [
         f"{n}-qubit T/CP/RZ runs, dense advance path",

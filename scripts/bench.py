@@ -9,11 +9,13 @@ the engine lanes :func:`repro.simulator.engine_mode` exposes:
   ``moveaxis`` gate application and from-scratch trajectory groups;
 * **fast** — the default dispatch: specialized 1q/2q kernels plus
   trajectory prefix-sharing;
-* **stabilizer** — the Aaronson–Gottesman tableau backend for
-  Clifford-only circuits (``ghz_sampling_stabilizer`` pits it against
-  the fast dense engine at device scale; ``stabilizer_scaling_ghz``
-  lanes run widths no dense engine can represent, so they record a
-  single ``seconds`` lane instead of a before/after pair);
+* **tableau** — the Aaronson–Gottesman stabilizer backend, which the
+  ``"fast"`` route picks for Clifford circuits the dense walk cannot
+  batch (``ghz_sampling_stabilizer`` pins each engine and pits the
+  tableau against the fast dense engine at device scale;
+  ``stabilizer_scaling_ghz`` lanes run widths no dense engine can
+  represent, so they record a single ``seconds`` lane instead of a
+  before/after pair);
 * **hybrid** — segment-granular mixed (tableau→dense) execution
   (``hybrid_segment_ghz_t`` runs a GHZ Clifford prefix followed by a
   T-gate layer: the hybrid engine forks and replays trajectory groups
@@ -70,6 +72,10 @@ Every entry's ``params`` records the ``workers`` count it ran with
 (``1`` everywhere except sharded lanes on multi-core machines), so perf
 trajectories across machines stay attributable.
 
+Every comparison is timed by :func:`benchmarks.timing.best_of`: one
+warm-up call per side, then interleaved rounds (at least ``repeats``
+and at least 0.25 s), keeping each side's fastest call.
+
 Results are printed as a table and written to ``BENCH_simulator.json``
 (schema ``repro.bench.simulator/v9``) so later PRs have a perf
 trajectory to beat.  Acceptance-gate lanes carry a ``floor`` — the
@@ -96,16 +102,17 @@ import os
 import pathlib
 import platform
 import sys
-import time
 from unittest import mock
 from typing import Callable, Dict, List, Optional, Sequence
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
-if str(_REPO / "src") not in sys.path:
-    sys.path.insert(0, str(_REPO / "src"))
+for _path in (_REPO, _REPO / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
 
+from benchmarks.timing import best_of, settle_blas, under  # noqa: E402
 from repro.circuits import brickwork_circuit, ghz_circuit  # noqa: E402
 from repro.circuits.gates import cx_matrix, rz_matrix, spec  # noqa: E402
 from repro.hybrid import VQE, h2_hamiltonian  # noqa: E402
@@ -118,7 +125,7 @@ from repro.simulator import (  # noqa: E402
     sample_counts,
 )
 from repro.simulator import sampler as _sampler  # noqa: E402
-from repro.simulator.engines import DenseEngine  # noqa: E402
+from repro.simulator.engines import DenseEngine, TableauEngine  # noqa: E402
 from repro.simulator.engines import tableau as tableau_engine  # noqa: E402
 from repro.simulator.sampler import _sample_per_shot  # noqa: E402
 from repro.simulator.sampler import engine_mode as engine  # noqa: E402
@@ -163,14 +170,17 @@ CEILINGS: Dict[str, float] = {
 }
 
 
-def _timed(fn: Callable[[], object], repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock seconds for one call of *fn*."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _route_to(engine_cls):
+    """Serve every sampled circuit from *engine_cls*, past the mode's
+    routing: lanes that measure one engine pin it explicitly, because
+    the ``"fast"`` route sends a Clifford circuit to the tableau
+    wherever the dense walk cannot batch it."""
+    return mock.patch.object(_sampler, "select_engine", lambda mode, qc: engine_cls)
+
+
+def _scalar_walk():
+    """Keep the dense route on the scalar grouped walk."""
+    return mock.patch.object(_sampler, "_use_batched_walk", lambda *a, **k: False)
 
 
 def _entry(
@@ -234,10 +244,9 @@ def bench_gate_apply(num_qubits: int, reps: int, repeats: int) -> List[Dict[str,
             for i in range(reps):
                 sv.apply_matrix(matrix, operands(i))
 
-        with engine("baseline"):
-            base = _timed(run, repeats)
-        with engine("fast"):
-            fast = _timed(run, repeats)
+        base, fast = best_of(
+            under("baseline", run), under("fast", run), repeats=repeats
+        )
         out.append(
             _entry(
                 name,
@@ -260,13 +269,21 @@ def _ghz_noise() -> NoiseModel:
 
 def bench_ghz_sampling(num_qubits: int, shots: int, repeats: int) -> Dict[str, object]:
     """The acceptance benchmark: GHZ shot sampling, grouped path, under
-    depolarizing noise — seed engine vs fast engine."""
+    depolarizing noise — seed engine vs fast engine, both on the dense
+    state vector (at 20 qubits the ``"fast"`` route would hand this
+    Clifford circuit to the tableau, which ``ghz_sampling_stabilizer``
+    measures)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("baseline"):
-        base = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("fast"):
-        fast = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
+
+    def sample():
+        sample_counts(circuit, shots, noise=noise, rng=7)
+
+    base, fast = best_of(
+        under("baseline", sample),
+        under("fast", sample, _route_to(DenseEngine)),
+        repeats=repeats,
+    )
     return _entry(
         "ghz_shot_sampling_grouped",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -286,20 +303,17 @@ def bench_tracing_overhead(
     The "baseline" lane is tracing *off* and the "fast" lane tracing
     *on*, so ``speedup`` = off/on and the committed floor bounds the
     enabled recorder's overhead; counts are bit-identical either way
-    (pinned by ``tests/test_tracing.py``)."""
+    (pinned by ``tests/test_tracing.py``).  Both lanes take the default
+    route, which sends this Clifford workload to the tableau."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    # A paired ratio near 1.0x is much more load-sensitive than the
-    # big-speedup lanes, so always take best-of-2 even in quick mode.
-    repeats = max(repeats, 2)
-    with engine("fast"):
-        off = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
-    with engine("fast", trace=True):
-        on = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
+
+    def sample():
+        sample_counts(circuit, shots, noise=noise, rng=7)
+
+    off, on = best_of(
+        under("fast", sample), under("fast", sample, trace=True), repeats=repeats
+    )
     return _entry(
         "tracing_overhead",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -317,16 +331,16 @@ def bench_grouped_vs_per_shot(
     in both lanes; this isolates the trajectory-grouping win)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("fast"):
-        per_shot = _timed(
+    per_shot, grouped = best_of(
+        under(
+            "fast",
             lambda: _sample_per_shot(
                 circuit, shots, noise, np.random.default_rng(7), {}, DenseEngine
             ),
-            repeats,
-        )
-        grouped = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
+        ),
+        under("fast", lambda: sample_counts(circuit, shots, noise=noise, rng=7)),
+        repeats=repeats,
+    )
     return _entry(
         "grouped_vs_per_shot",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -339,13 +353,21 @@ def bench_grouped_vs_per_shot(
 
 def bench_stabilizer_ghz(num_qubits: int, shots: int, repeats: int) -> Dict[str, object]:
     """Tableau engine vs the fast dense engine on Clifford grouped
-    sampling — the stabilizer acceptance benchmark (≥10× at 20 qubits)."""
+    sampling — the stabilizer acceptance benchmark (≥10× at 20 qubits).
+    Both lanes run under ``"fast"`` with the engine pinned, since the
+    route itself picks the tableau only where the dense walk cannot
+    batch (≥14 qubits at the default budget)."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("fast"):
-        dense = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("stabilizer"):
-        stab = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
+
+    def sample():
+        sample_counts(circuit, shots, noise=noise, rng=7)
+
+    dense, stab = best_of(
+        under("fast", sample, _route_to(DenseEngine)),
+        under("fast", sample, _route_to(TableauEngine)),
+        repeats=repeats,
+    )
     entry = _entry(
         "ghz_sampling_stabilizer",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -354,7 +376,7 @@ def bench_stabilizer_ghz(num_qubits: int, shots: int, repeats: int) -> Dict[str,
         throughput_unit="shots_per_sec",
         work_items=shots,
     )
-    entry["lanes"] = {"baseline": "statevector-fast", "fast": "stabilizer"}
+    entry["lanes"] = {"baseline": "statevector-fast", "fast": "tableau"}
     return entry
 
 
@@ -365,15 +387,16 @@ def bench_stabilizer_scaling(
 
     Single-lane entries (``seconds`` instead of a before/after pair):
     there is no dense baseline beyond 26 qubits, which is the point.
+    The default ``"fast"`` route serves these widths from the tableau.
     """
     out: List[Dict[str, object]] = []
     for num_qubits in sizes:
         circuit = ghz_circuit(num_qubits)
         noise = _ghz_noise()
-        with engine("stabilizer"):
-            seconds = _timed(
-                lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-            )
+        (seconds,) = best_of(
+            under("fast", lambda: sample_counts(circuit, shots, noise=noise, rng=7)),
+            repeats=repeats,
+        )
         out.append(
             {
                 "name": "stabilizer_scaling_ghz",
@@ -396,21 +419,20 @@ def bench_packed_tableau(num_qubits: int, shots: int, repeats: int) -> Dict[str,
     grouped sampling — the packed-engine acceptance benchmark (≥5× at
     100 qubits on the full configuration; both lanes are bit-identical
     in sampled counts, so this measures representation speed alone).
-    Each lane serves the tableau engine from one class directly, past the
-    width policy of ``make_tableau``."""
+    Each lane serves the tableau engine (the ``"fast"`` route at this
+    width) from one class directly, past the width policy of
+    ``make_tableau``."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
 
-    def lane(tableau_cls) -> float:
-        with engine("stabilizer"), mock.patch.object(
-            tableau_engine, "make_tableau", tableau_cls
-        ):
-            return _timed(
-                lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-            )
+    def lane(tableau_cls) -> Callable[[], None]:
+        return under(
+            "fast",
+            lambda: sample_counts(circuit, shots, noise=noise, rng=7),
+            mock.patch.object(tableau_engine, "make_tableau", tableau_cls),
+        )
 
-    unpacked = lane(Tableau)
-    packed = lane(PackedTableau)
+    unpacked, packed = best_of(lane(Tableau), lane(PackedTableau), repeats=repeats)
     entry = _entry(
         "stabilizer_packed_ghz",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -458,10 +480,11 @@ def bench_diag_fusion(num_qubits: int, layers: int, repeats: int) -> Dict[str, o
 
     # the unfused lane must disable *both* fusion passes, or block
     # fusion keeps firing and shrinks the measured ratio
-    with engine("fast", fuse_diagonal_runs=False, fuse_blocks=False):
-        unfused = _timed(advance_once, repeats)
-    with engine("fast"):
-        fused = _timed(advance_once, repeats)
+    unfused, fused = best_of(
+        under("fast", advance_once, fuse_diagonal_runs=False, fuse_blocks=False),
+        under("fast", advance_once),
+        repeats=repeats,
+    )
     entry = _entry(
         "diagonal_fusion_dense",
         {"num_qubits": num_qubits, "layers": layers, "gates": len(ops)},
@@ -492,10 +515,13 @@ def bench_hybrid_segment(num_qubits: int, shots: int, repeats: int) -> Dict[str,
     two-element coset instead of copying a ``2^n`` amplitude vector)."""
     circuit = _ghz_t_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("fast"):
-        dense = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("hybrid"):
-        hybrid = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
+
+    def sample():
+        sample_counts(circuit, shots, noise=noise, rng=7)
+
+    dense, hybrid = best_of(
+        under("fast", sample), under("hybrid", sample), repeats=repeats
+    )
     entry = _entry(
         "hybrid_segment_ghz_t",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -527,10 +553,11 @@ def bench_mps_brickwork(
     its seeded counts bit-comparable to the dense engine's)."""
     circuit = brickwork_circuit(num_qubits, depth)
     noise = _brickwork_noise()
-    with engine("fast"):
-        dense = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
-    with engine("mps"):
-        mps = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
+
+    def sample():
+        sample_counts(circuit, shots, noise=noise, rng=7)
+
+    dense, mps = best_of(under("fast", sample), under("mps", sample), repeats=repeats)
     entry = _entry(
         "mps_brickwork",
         {
@@ -571,10 +598,11 @@ def bench_mps_qaoa_wide(
             qc.rx(0.9, q)
     qc.measure_all()
     noise = _ghz_noise()  # h-gate depolarizing reaches the H wall
+    (seconds,) = best_of(
+        under("mps", lambda: sample_counts(qc, shots, noise=noise, rng=7)),
+        repeats=repeats,
+    )
     with engine("mps"):
-        seconds = _timed(
-            lambda: sample_counts(qc, shots, noise=noise, rng=7), repeats
-        )
         state = prepare_engine(qc, "mps")
     entry: Dict[str, object] = {
         "name": "mps_qaoa_wide",
@@ -610,14 +638,13 @@ def bench_batched_grouped(num_qubits: int, shots: int, repeats: int) -> Dict[str
     and stays scalar beyond it."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("fast"):
-        with mock.patch.object(
-            _sampler, "_use_batched_walk", lambda *args, **kwargs: False
-        ):
-            scalar = _timed(
-                lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-            )
-        batched = _timed(lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats)
+
+    def sample():
+        sample_counts(circuit, shots, noise=noise, rng=7)
+
+    scalar, batched = best_of(
+        under("fast", sample, _scalar_walk()), under("fast", sample), repeats=repeats
+    )
     entry = _entry(
         "batched_ghz_grouped",
         {"num_qubits": num_qubits, "shots": shots, "noise": "depolarizing"},
@@ -645,10 +672,12 @@ def bench_blocked_wide(num_qubits: int, depth: int, repeats: int) -> Dict[str, o
     def advance_once():
         DenseEngine(circuit).advance(ops)
 
-    with engine("fast", blocked_sweeps=False):
-        unblocked = _timed(advance_once, repeats)
+    unblocked, blocked = best_of(
+        under("fast", advance_once, blocked_sweeps=False),
+        under("fast", advance_once),
+        repeats=repeats,
+    )
     with engine("fast") as config:
-        blocked = _timed(advance_once, repeats)
         tile = dense_mod.blocked_tile_qubits()
         budget = config.batch_max_bytes
     entry = _entry(
@@ -736,11 +765,11 @@ def bench_plan_cache(
         for qc in bound:
             sample_counts(qc, shots, rng=7)
 
-    with engine("fast"):
-        cold = _timed(run_cold, repeats)
-        plans.plan_cache_clear()
-        sample_counts(bound[0], shots, rng=7)  # prime the cache
-        warm = _timed(run_warm, repeats)
+    # every cold call leaves the one shared plan cached, so the warm
+    # side stays warm however the sides interleave
+    cold, warm = best_of(
+        under("fast", run_cold), under("fast", run_warm), repeats=repeats
+    )
     info = plans.plan_cache_info()
     plans.plan_cache_clear()
     entry = _entry(
@@ -774,10 +803,14 @@ def bench_sharded_throughput(
     not parallel scaling."""
     circuit = ghz_circuit(num_qubits)
     noise = _ghz_noise()
-    with engine("fast", workers=workers):
-        seconds = _timed(
-            lambda: sample_counts(circuit, shots, noise=noise, rng=7), repeats
-        )
+    (seconds,) = best_of(
+        under(
+            "fast",
+            lambda: sample_counts(circuit, shots, noise=noise, rng=7),
+            workers=workers,
+        ),
+        repeats=repeats,
+    )
     entry: Dict[str, object] = {
         "name": "sharded_throughput",
         "params": {
@@ -827,8 +860,7 @@ def bench_sharded_with_faults(
     prev_backoff = sharding.REBUILD_BACKOFF_BASE
     try:
         sharding.REBUILD_BACKOFF_BASE = 0.0
-        with engine("fast"):
-            seconds = _timed(run_once, repeats)
+        (seconds,) = best_of(under("fast", run_once), repeats=repeats)
     finally:
         sharding.REBUILD_BACKOFF_BASE = prev_backoff
     counters = resilience.counters()
@@ -876,12 +908,12 @@ def bench_vqe_iteration(shots: int, repeats: int) -> List[Dict[str, object]]:
         ("vqe_iteration_sampled", "energy"),
         ("vqe_iteration_exact", "energy_exact"),
     ):
-        with engine("baseline"):
-            vqe = make_vqe()
-            base = _timed(lambda: getattr(vqe, method)(values), repeats)
-        with engine("fast"):
-            vqe = make_vqe()
-            fast = _timed(lambda: getattr(vqe, method)(values), repeats)
+        base_vqe, fast_vqe = make_vqe(), make_vqe()
+        base, fast = best_of(
+            under("baseline", lambda: getattr(base_vqe, method)(values)),
+            under("fast", lambda: getattr(fast_vqe, method)(values)),
+            repeats=repeats,
+        )
         out.append(
             _entry(
                 name,
@@ -946,7 +978,6 @@ def run(quick: bool) -> Dict[str, object]:
             "sharded_faults_shots": 1024,
             "sharded_faults_workers": 2,
         }
-        repeats = 1
     else:
         config = {
             "gate_qubits": 20,
@@ -989,7 +1020,10 @@ def run(quick: bool) -> Dict[str, object]:
             "sharded_faults_shots": 2048,
             "sharded_faults_workers": 2,
         }
-        repeats = 2
+    # At least three interleaved rounds at every size: one round is no
+    # pairing at all (see benchmarks/timing.py).
+    repeats = 3
+    settle_blas()
     benchmarks: List[Dict[str, object]] = []
     benchmarks += bench_gate_apply(config["gate_qubits"], config["gate_reps"], repeats)
     benchmarks.append(

@@ -75,11 +75,6 @@ class Instruction:
         return self.spec.directive
 
     @property
-    def is_measurement(self) -> bool:
-        """Whether this instruction is a measurement."""
-        return self.name == "measure"
-
-    @property
     def is_two_qubit(self) -> bool:
         """Whether this is a two-qubit *gate* (directives excluded)."""
         return len(self.qubits) == 2 and not self.is_directive
@@ -525,7 +520,8 @@ class QuantumCircuit:
 
     def has_measurements(self) -> bool:
         """Whether any instruction is a measurement."""
-        return any(inst.is_measurement for inst in self._instructions)
+        # measurements are almost always terminal: scan from the end
+        return any(inst.name == "measure" for inst in reversed(self._instructions))
 
     def is_native(self) -> bool:
         """Whether every instruction is in the QPU native gate set."""

@@ -126,18 +126,26 @@ def structural_hash(circuit: QuantumCircuit) -> str:
     ]
     append = parts.append
     for inst in circuit:
-        append(inst.name)
-        append(str(inst.qubits))
-        if inst.clbits:
-            append(f"c{inst.clbits}")
-        for value in inst.params:
-            free = parameters_of(value)
-            if not free:
-                append("#;")  # numeric value: masked
-            else:
-                ids = sorted(slots[p] for p in free)
-                append("$" + ".".join(map(str, ids)) + ";")
-        append("D|" if inst.is_diagonal() else "-|")
+        # A parameterless instruction's part depends on nothing else, so
+        # it is memoized on the (immutable) instruction, which binding
+        # shares across every bound circuit of an ansatz.
+        part = inst.__dict__.get("_structure")
+        if part is None:
+            tokens = [inst.name, str(inst.qubits)]
+            if inst.clbits:
+                tokens.append(f"c{inst.clbits}")
+            for value in inst.params:
+                free = parameters_of(value)
+                if not free:
+                    tokens.append("#;")  # numeric value: masked
+                else:
+                    ids = sorted(slots[p] for p in free)
+                    tokens.append("$" + ".".join(map(str, ids)) + ";")
+            tokens.append("D|" if inst.is_diagonal() else "-|")
+            part = "".join(tokens)
+            if not inst.params:
+                object.__setattr__(inst, "_structure", part)
+        append(part)
     return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 

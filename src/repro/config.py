@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 from repro.errors import EngineModeError
 
 #: The recognized engine modes (see :func:`repro.simulator.engine_mode`).
-MODES = ("baseline", "fast", "stabilizer", "hybrid", "mps", "auto")
+MODES = ("baseline", "fast", "hybrid", "mps", "auto")
 
 #: Every mode but the seed path: ``"baseline"`` stays byte-for-byte
 #: historical, so nothing beyond the mode itself may configure it.

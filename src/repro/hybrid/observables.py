@@ -263,16 +263,16 @@ def exact_expectation(hamiltonian: PauliSum, circuit: QuantumCircuit) -> float:
     and dense states through the grouped
     :func:`expectation_statevector` contraction.  Expectations carry no
     RNG stream, so the default ``"fast"`` sampling mode upgrades to the
-    ``"auto"`` routing here, and ``"baseline"`` keeps its historical
-    Clifford-to-tableau dispatch (the seed lane's generic kernels still
-    serve every dense contraction); forcing ``"stabilizer"`` /
-    ``"hybrid"`` / ``"auto"`` is honoured as-is.
+    ``"auto"`` routing here, and ``"baseline"`` takes the ``"fast"``
+    routing (the seed lane's generic kernels still serve every dense
+    contraction); forcing ``"hybrid"`` / ``"mps"`` / ``"auto"`` is
+    honoured as-is.
     """
     from repro import config
     from repro.simulator.engines import prepare_engine
 
     active = config.current().mode
-    mode = {"fast": "auto", "baseline": "stabilizer"}.get(active, active)
+    mode = {"fast": "auto", "baseline": "fast"}.get(active, active)
     return prepare_engine(circuit, mode).expectation(hamiltonian)
 
 

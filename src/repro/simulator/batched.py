@@ -81,16 +81,18 @@ MIN_CHUNK_ROWS = 16
 def chunk_rows(num_qubits: int, budget: int) -> int:
     """Rows per chunk of the batched grouped walk on a *num_qubits*
     register under the working-set *budget* (``batch_max_bytes``), or 0
-    when fewer than :data:`MIN_CHUNK_ROWS` states fit and the walk must
-    stay scalar.
+    when fewer than :data:`MIN_CHUNK_ROWS` states fit (or the register is
+    past the dense limit) and the walk cannot batch.
 
-    The one width predicate behind both the walk's engagement
-    (:func:`repro.simulator.sampler._use_batched_walk`) and the dense
+    The one width predicate behind the walk's engagement
+    (:func:`repro.simulator.sampler._use_batched_walk`), the dense
     admission estimate
-    (:meth:`~repro.simulator.engines.dense.DenseEngine.estimate_peak_bytes`).
+    (:meth:`~repro.simulator.engines.dense.DenseEngine.estimate_peak_bytes`)
+    and the ``"fast"`` route's Clifford-to-tableau rule
+    (:func:`repro.simulator.engines.select_engine`).
     """
     rows = budget // (16 << num_qubits)
-    return rows if rows >= MIN_CHUNK_ROWS else 0
+    return rows if rows >= MIN_CHUNK_ROWS and num_qubits <= DENSE_QUBIT_LIMIT else 0
 
 
 class BatchedStateVector:

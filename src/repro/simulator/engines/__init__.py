@@ -38,9 +38,11 @@ from typing import Optional, Type
 
 import numpy as np
 
+from repro import config as _config
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import clifford_segments, is_clifford_circuit
 from repro.errors import EngineModeError
+from repro.simulator import batched as _batched
 from repro.simulator.engines.base import (
     ExecutionEngine,
     engine_registry,
@@ -91,12 +93,17 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
 
     The mode-string semantics (see also ``docs/architecture.md``):
 
-    ``baseline`` / ``fast``
-        Dense engine; ``fast`` auto-routes Clifford circuits *wider than
-        the dense limit* to the tableau (historical ≤26-qubit streams
-        stay on the dense engine, unchanged).
-    ``stabilizer``
-        Tableau for every Clifford circuit, dense fallback otherwise.
+    ``baseline``
+        Dense engine, always.
+    ``fast``
+        Dense engine, except that a Clifford circuit goes to the tableau
+        whenever the dense route cannot batch its trajectory groups:
+        when no chunk of :func:`~repro.simulator.batched.chunk_rows`
+        stacked states fits ``batch_max_bytes`` (≥14 qubits at the
+        default 2 MiB, and always past the dense limit).
+        Narrower Clifford circuits keep the batched dense walk, which
+        beats the tableau's per-group walk there.  Seeded counts are
+        identical on either engine.
     ``hybrid``
         Tableau for Clifford circuits; segment-granular mixed execution
         whenever the circuit has any Clifford prefix; dense otherwise.
@@ -119,11 +126,11 @@ def select_engine(mode: str, circuit: QuantumCircuit) -> Type[ExecutionEngine]:
     if mode == "baseline":
         return dense
     if mode == "fast":
-        if circuit.num_qubits > DENSE_QUBIT_LIMIT and is_clifford_circuit(circuit):
+        budget = _config.current().batch_max_bytes
+        batchable = _batched.chunk_rows(circuit.num_qubits, budget) > 0
+        if not batchable and is_clifford_circuit(circuit):
             return tableau
         return dense
-    if mode == "stabilizer":
-        return tableau if is_clifford_circuit(circuit) else dense
     if mode == "hybrid":
         if is_clifford_circuit(circuit):
             return tableau
@@ -170,9 +177,7 @@ def prepare_engine(
     :func:`repro.simulator.engine_mode` selection.
     """
     if mode is None:
-        from repro import config
-
-        mode = config.current().mode
+        mode = _config.current().mode
     engine_cls = select_engine(mode, circuit)
     if mode != "baseline":
         # Same pre-flight admission gate as the sampling path: the

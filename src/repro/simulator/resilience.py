@@ -195,7 +195,6 @@ def check_admission(
 #: deliberately absent — the seed path never degrades.
 FALLBACK_CHAINS: Mapping[str, Tuple[str, ...]] = {
     "fast": ("mps",),
-    "stabilizer": ("fast", "mps"),
     "hybrid": ("mps",),
     "mps": ("hybrid", "fast"),
     "auto": ("mps", "hybrid"),

@@ -38,7 +38,10 @@ from the engine registry (:mod:`repro.simulator.engines`).  Which
 backend serves a request is decided per circuit by
 :func:`repro.simulator.engines.select_engine` under the mode string
 :func:`engine_mode` installs — dense state vector, stabilizer tableau,
-or the segment-granular hybrid (tableau→dense) engine.
+or the segment-granular hybrid (tableau→dense) engine.  Under the
+default ``"fast"`` mode a Clifford circuit goes to the tableau exactly
+when the dense route could not batch it
+(:func:`~repro.simulator.batched.chunk_rows` is 0).
 
 All engines consume the RNG stream in lock-step (realization draws,
 then per-group outcome draws in first-error-site order, then readout),
@@ -251,9 +254,6 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-#: The recognized engine modes (see :func:`engine_mode`).
-ENGINE_MODES = _config.MODES
-
 #: Minimum trajectory-group count (clean group included) before the
 #: dense route's grouped walk runs batched; below it the scalar
 #: prefix-sharing walk wins on setup cost.  Counts are bit-identical
@@ -282,20 +282,17 @@ def engine_mode(mode: str, **options: object) -> Iterator[_config.ExecutionConfi
 
     ``"fast"`` (the default)
         Specialized state-vector kernels + trajectory prefix-sharing.
-        Clifford circuits wider than the dense limit (26 qubits) route
-        through the stabilizer tableau automatically.  When a run
-        produces enough trajectory groups on a register narrow enough
-        for cache-resident stacking, the dense grouped walk runs
-        batched (:mod:`repro.simulator.batched`) — as it does under
-        every accelerated mode; seeded counts are unchanged.
+        When a run produces enough trajectory groups on a register
+        narrow enough for cache-resident stacking, the dense grouped
+        walk runs batched (:mod:`repro.simulator.batched`) — as it does
+        under every accelerated mode.  A Clifford circuit too wide for
+        that (≥14 qubits at the default ``batch_max_bytes``) routes
+        through the stabilizer tableau (:mod:`repro.simulator.stabilizer`)
+        instead; seeded counts are identical on either engine.
     ``"baseline"``
         The seed engine: generic ``moveaxis`` kernels, from-scratch
         trajectory groups, no stabilizer dispatch, no admission control,
         plans or tracing.  The "before" lane of the perf harness.
-    ``"stabilizer"``
-        Route every Clifford-only circuit through the tableau backend
-        (:mod:`repro.simulator.stabilizer`) regardless of width;
-        non-Clifford circuits fall back to the fast state-vector path.
     ``"hybrid"``
         Segment-granular mixed execution
         (:class:`~repro.simulator.engines.hybrid.HybridSegmentEngine`):
@@ -338,10 +335,9 @@ def _needs_per_shot(circuit: QuantumCircuit) -> bool:
         if inst.name == "measure":
             measured.add(inst.qubits[0])
             continue
-        if inst.name == "barrier":
-            continue
-        if measured & set(inst.qubits):
-            return True  # gate after measurement on the same qubit
+        if measured and inst.name != "barrier":
+            if not measured.isdisjoint(inst.qubits):
+                return True  # gate after measurement on the same qubit
     return False
 
 
@@ -857,4 +853,4 @@ def _apply_readout(
     return out
 
 
-__all__ = ["sample_counts", "ideal_probabilities", "engine_mode", "ENGINE_MODES"]
+__all__ = ["sample_counts", "ideal_probabilities", "engine_mode"]

@@ -143,13 +143,6 @@ def _bits_of_int(value: int, num_bits: int) -> np.ndarray:
     ]
 
 
-def _words_of_int(value: int, num_bits: int) -> np.ndarray:
-    """Arbitrary-precision integer → ``(words_for(num_bits),)`` uint64 words."""
-    w = words_for(num_bits)
-    raw = value.to_bytes(w * 8, "little")
-    return np.frombuffer(raw, dtype=_U64).copy()
-
-
 def g4_words(
     x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray
 ) -> np.ndarray:

@@ -24,10 +24,10 @@ from repro.simulator import (
 
 #: The engine matrix every differential pin sweeps by default.  The
 #: packed tableau is exercised separately (:func:`tableau_class`)
-#: because it is a width policy of ``stabilizer``, not a mode of its own;
-#: so is the batched grouped walk (:func:`scalar_walk`), a cost policy
-#: of the dense route.
-ALL_ENGINE_MODES = ("fast", "stabilizer", "hybrid", "mps")
+#: because it is a width policy of the tableau engine, not a mode of its
+#: own; so is the batched grouped walk (:func:`scalar_walk`), a cost
+#: policy of the dense route.
+ALL_ENGINE_MODES = ("fast", "hybrid", "mps")
 
 
 def light_noise() -> NoiseModel:

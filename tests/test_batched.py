@@ -252,9 +252,10 @@ class TestBatchedWalkParity:
     ):
         """Beyond the cache-resident width (fewer than
         ``MIN_CHUNK_ROWS`` states fit ``batch_max_bytes``) the walk stays
-        scalar whatever the group count, so a site-dense 16-qubit GHZ
-        never reaches the batched walk."""
-        wide = ghz_circuit(16)
+        scalar whatever the group count, so a site-dense 16-qubit GHZ+T
+        (non-Clifford, so the dense route keeps it) never reaches the
+        batched walk."""
+        wide = _ghz_t(16)
         engine_cls = select_engine("fast", wide)
         assert issubclass(engine_cls, DenseEngine)
         assert not sampler_mod._use_batched_walk(
@@ -270,13 +271,14 @@ class TestBatchedWalkParity:
         assert default.to_dict() == scalar.to_dict()
 
     def test_batched_mode_is_rejected(self):
-        """``"batched"`` is no longer a mode: asking for it raises before
-        anything is installed."""
+        """``"batched"`` and ``"stabilizer"`` are no longer modes: asking
+        for either raises before anything is installed."""
         before = config.current()
-        with pytest.raises(EngineModeError, match="batched"):
-            with engine_mode("batched"):
-                pass  # pragma: no cover
-        assert config.current() is before
+        for mode in ("batched", "stabilizer"):
+            with pytest.raises(EngineModeError, match=mode):
+                with engine_mode(mode):
+                    pass  # pragma: no cover
+            assert config.current() is before
 
     def test_engagement_follows_the_chunk_width(self):
         """The walk engages exactly where ``chunk_rows`` fits a chunk:
@@ -288,11 +290,10 @@ class TestBatchedWalkParity:
             qc = _ghz_t(n)
             fits = batched_mod.chunk_rows(n, budget) > 0
             assert fits == (16 * (16 << n) <= budget)
-            for mode in ("fast", "stabilizer"):
-                engine_cls = select_engine(mode, qc)
-                assert sampler_mod._use_batched_walk(engine_cls, qc, 64, active) == fits
-                assert not sampler_mod._use_batched_walk(engine_cls, qc, 3, active)
-        tableau = select_engine("stabilizer", ghz_circuit(8))
+            engine_cls = select_engine("fast", qc)
+            assert sampler_mod._use_batched_walk(engine_cls, qc, 64, active) == fits
+            assert not sampler_mod._use_batched_walk(engine_cls, qc, 3, active)
+        tableau = select_engine("auto", ghz_circuit(8))
         assert not sampler_mod._use_batched_walk(
             tableau, ghz_circuit(8), 64, active
         )
@@ -430,7 +431,7 @@ class TestEngineModeBatchOptions:
         """The group-count threshold is a cost policy, not a knob: the
         old ``batch_min_groups`` keyword is rejected under every mode."""
         before = config.current()
-        for mode in ("fast", "baseline", "stabilizer", "mps", "hybrid"):
+        for mode in ("fast", "baseline", "mps", "hybrid", "auto"):
             with pytest.raises(EngineModeError, match="batch_min_groups"):
                 with engine_mode(mode, batch_min_groups=8):
                     pass  # pragma: no cover
@@ -472,7 +473,7 @@ class TestEngineModeBatchOptions:
 
     def test_batch_max_bytes_scoped_to_dense_family_modes(self):
         before = config.current()
-        for mode in ("baseline", "stabilizer", "mps"):
+        for mode in ("baseline", "mps"):
             with pytest.raises(EngineModeError, match="batch_max_bytes"):
                 with engine_mode(mode, batch_max_bytes=65536):
                     pass  # pragma: no cover

@@ -60,12 +60,22 @@ def test_architecture_doc_covers_engine_contract():
         "repro.config",
         "ContextVar",
         "plan_key",
-        "stabilizer",
+        "tableau",
+        "chunk_rows(n, batch_max_bytes) == 0",
         "baseline",
         "BENCH_simulator.json",
         "repro.bench.simulator/v10",
+        "benchmarks.timing",
     ):
         assert needle in text, f"architecture doc lost the {needle!r} section"
+
+
+def test_readme_documents_the_clifford_routing_rule():
+    """The README mode list matches ``config.MODES`` and states where
+    ``"fast"`` hands a Clifford circuit to the tableau."""
+    text = README.read_text()
+    assert '`"fast"`, `"baseline"`, `"hybrid"`, `"mps"`,\n`"auto"`' in text
+    assert "cannot batch its trajectory" in text
 
 
 def test_architecture_doc_covers_engine_registry():

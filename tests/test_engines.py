@@ -156,17 +156,27 @@ class TestRegistry:
 
 class TestRouting:
     def test_fast_mode_routing(self):
-        assert select_engine("fast", ghz_circuit(20)) is DenseEngine
-        assert select_engine("fast", ghz_circuit(27)) is TableauEngine
-        assert select_engine("fast", ghz_t_circuit(12)) is DenseEngine
+        """A Clifford circuit goes to the tableau exactly where the dense
+        route cannot batch it (``chunk_rows`` is 0: ≥14 qubits at the
+        default budget); non-Clifford circuits stay dense.  The boundary
+        moves with ``batch_max_bytes`` and never keeps a Clifford circuit
+        past the dense limit off the tableau."""
+        assert select_engine("fast", ghz_circuit(13)) is DenseEngine
+        for n in (14, 20, DENSE_QUBIT_LIMIT + 1):
+            assert select_engine("fast", ghz_circuit(n)) is TableauEngine, n
+        for n in (4, 14, DENSE_QUBIT_LIMIT):
+            assert select_engine("fast", ghz_t_circuit(n)) is DenseEngine, n
+        with engine_mode("fast", batch_max_bytes=1 << 20):
+            assert select_engine("fast", ghz_circuit(12)) is DenseEngine
+            assert select_engine("fast", ghz_circuit(13)) is TableauEngine
+        with engine_mode("fast", batch_max_bytes=1 << 40):
+            assert select_engine("fast", ghz_circuit(DENSE_QUBIT_LIMIT)) is DenseEngine
+            wide = ghz_circuit(DENSE_QUBIT_LIMIT + 1)
+            assert select_engine("fast", wide) is TableauEngine
 
     def test_baseline_mode_is_always_dense(self):
         assert select_engine("baseline", ghz_circuit(20)) is DenseEngine
         assert select_engine("baseline", ghz_circuit(4)) is DenseEngine
-
-    def test_stabilizer_mode_routing(self):
-        assert select_engine("stabilizer", ghz_circuit(4)) is TableauEngine
-        assert select_engine("stabilizer", ghz_t_circuit(4)) is DenseEngine
 
     def test_hybrid_mode_routing(self):
         # Clifford circuits stay on the pure tableau
@@ -434,7 +444,7 @@ class TestHybridEquivalence:
 
     def test_pure_clifford_under_hybrid_matches_stabilizer(self):
         qc = ghz_circuit(10)
-        with engine_mode("stabilizer"):
+        with engine_mode("auto"):
             stab = sample_counts(qc, 500, noise=_noise(), rng=3)
         with engine_mode("hybrid"):
             hybrid = sample_counts(qc, 500, noise=_noise(), rng=3)
@@ -594,7 +604,7 @@ class TestEngineModeFacade:
             with engine_mode("baseline", fuse_blocks=False):
                 pass  # pragma: no cover
         with pytest.raises(EngineModeError, match="chi"):
-            with engine_mode("stabilizer", chi=8):
+            with engine_mode("hybrid", chi=8):
                 pass  # pragma: no cover
 
     def test_new_modes_accepted_and_restored(self):

@@ -288,9 +288,9 @@ class TestSeededCountsBitExact:
     @pytest.mark.parametrize("num_qubits,shots", [(12, 256), (100, 512), (512, 96)])
     def test_ghz_counts_identical_both_impls(self, num_qubits, shots):
         qc = ghz_circuit(num_qubits)
-        with engine_mode("stabilizer"), tableau_class(Tableau):
+        with engine_mode("auto"), tableau_class(Tableau):
             a = sample_counts(qc, shots, noise=_ghz_noise(), rng=7)
-        with engine_mode("stabilizer"), tableau_class(PackedTableau):
+        with engine_mode("auto"), tableau_class(PackedTableau):
             b = sample_counts(qc, shots, noise=_ghz_noise(), rng=7)
         assert a.to_dict() == b.to_dict()
 
@@ -303,9 +303,9 @@ class TestSeededCountsBitExact:
             n = int(rng.integers(2, 8))
             qc = random_clifford_circuit(n, 25, rng, measure=True)
             seed = int(rng.integers(1 << 30))
-            with engine_mode("stabilizer"), tableau_class(Tableau):
+            with engine_mode("auto"), tableau_class(Tableau):
                 a = sample_counts(qc, 192, noise=nm, rng=seed)
-            with engine_mode("stabilizer"), tableau_class(PackedTableau):
+            with engine_mode("auto"), tableau_class(PackedTableau):
                 b = sample_counts(qc, 192, noise=nm, rng=seed)
             assert a.to_dict() == b.to_dict(), trial
 
@@ -320,9 +320,9 @@ class TestSeededCountsBitExact:
         )
         qc = ghz_circuit(8)
         for seed in (1, 5):
-            with engine_mode("stabilizer"), tableau_class(Tableau):
+            with engine_mode("auto"), tableau_class(Tableau):
                 a = sample_counts(qc, 256, noise=nm, rng=seed)
-            with engine_mode("stabilizer"), tableau_class(PackedTableau):
+            with engine_mode("auto"), tableau_class(PackedTableau):
                 b = sample_counts(qc, 256, noise=nm, rng=seed)
             assert a.to_dict() == b.to_dict(), seed
 
@@ -339,9 +339,9 @@ class TestSeededCountsBitExact:
         nm = NoiseModel()
         nm.add_gate_error(depolarizing_error(0.05, 1), "h")
         for seed in (0, 42):
-            with engine_mode("stabilizer"), tableau_class(Tableau):
+            with engine_mode("auto"), tableau_class(Tableau):
                 a = sample_counts(qc, 192, noise=nm, rng=seed)
-            with engine_mode("stabilizer"), tableau_class(PackedTableau):
+            with engine_mode("auto"), tableau_class(PackedTableau):
                 b = sample_counts(qc, 192, noise=nm, rng=seed)
             assert a.to_dict() == b.to_dict(), seed
 
@@ -351,7 +351,7 @@ class TestSeededCountsBitExact:
         qc = ghz_circuit(12)
         with engine_mode("fast"):
             dense = sample_counts(qc, 384, noise=_ghz_noise(), rng=9)
-        with engine_mode("stabilizer"), tableau_class(PackedTableau):
+        with engine_mode("auto"), tableau_class(PackedTableau):
             packed = sample_counts(qc, 384, noise=_ghz_noise(), rng=9)
         assert dense.to_dict() == packed.to_dict()
 
@@ -381,7 +381,7 @@ class TestImplementationPolicy:
     def test_engine_mode_rejects_bad_impl_before_mutation(self):
         before = config.current()
         with pytest.raises(EngineModeError, match="tableau_impl"):
-            with engine_mode("stabilizer", tableau_impl="packed"):
+            with engine_mode("auto", tableau_impl="packed"):
                 pass  # pragma: no cover
         assert config.current() is before
 

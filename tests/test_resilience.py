@@ -407,16 +407,16 @@ class TestAdmissionControl:
         """The default budget is calibrated so every width the stack
         could already serve still admits — 26-qubit dense exactly."""
         qc = ghz_t(4)
-        for mode in ("fast", "stabilizer", "hybrid", "mps", "auto"):
+        for mode in ("fast", "hybrid", "mps", "auto"):
             estimate = check_admission(qc, mode)
             assert estimate.peak_bytes is not None
             assert estimate.peak_bytes <= DEFAULT_MAX_STATE_BYTES
 
     def test_wide_clifford_routes_past_the_dense_gate(self):
-        """A 50-qubit Clifford circuit under ``stabilizer`` lands on the
+        """A 50-qubit Clifford circuit under ``fast`` lands on the
         tableau, whose polynomial footprint admits trivially."""
         qc = ghz_circuit(50, measure=True)
-        estimate = check_admission(qc, "stabilizer")
+        estimate = check_admission(qc, "fast")
         assert estimate.engine == "tableau"
         assert estimate.peak_bytes == 2 * (4 * 50 * 50 + 2 * 50)
 
@@ -578,7 +578,6 @@ class TestFallbackLadder:
         module, docs quote it, tests freeze it."""
         assert FALLBACK_CHAINS == {
             "fast": ("mps",),
-            "stabilizer": ("fast", "mps"),
             "hybrid": ("mps",),
             "mps": ("hybrid", "fast"),
             "auto": ("mps", "hybrid"),

@@ -184,7 +184,7 @@ class TestSuffixCheckpoints:
         cases = [
             ("fast", ghz_t(8)),
             ("hybrid", ghz_t(8)),
-            ("stabilizer", ghz_circuit(10)),
+            ("auto", ghz_circuit(10)),
             ("mps", ghz_t(8)),
         ]
         for mode, qc in cases:

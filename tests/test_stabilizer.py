@@ -5,13 +5,14 @@ Three layers of guarantees are pinned here:
 1. **State-level equivalence** — tableau probabilities and Pauli
    expectations match the dense engine on random Clifford circuits.
 2. **Bit-exact sampling** — for seeded Clifford workloads, counts from
-   ``engine_mode("stabilizer")`` equal counts from the dense engine
+   the tableau (``engine_mode("auto")``) equal counts from the dense engine
    *exactly* (same RNG stream, same CDF inversion), including under
    Pauli noise, reset-type (thermal) noise, readout error, and the
    per-shot mid-circuit path.
 3. **Dispatch** — the Clifford detector routes the right circuits, the
-   default mode auto-engages beyond the dense qubit limit, and
-   non-Clifford circuits fall back to the state vector.
+   default mode sends a Clifford circuit to the tableau wherever the
+   batched dense walk cannot stack it, and non-Clifford circuits fall
+   back to the state vector.
 """
 
 import math
@@ -426,7 +427,7 @@ class TestSamplerDispatch:
             for seed in (0, 7):
                 with engine_mode("fast"):
                     dense = sample_counts(qc, 384, noise=_ghz_noise(True), rng=seed)
-                with engine_mode("stabilizer"):
+                with engine_mode("auto"):
                     stab = sample_counts(qc, 384, noise=_ghz_noise(True), rng=seed)
                 assert dense.to_dict() == stab.to_dict(), (n, seed)
 
@@ -442,7 +443,7 @@ class TestSamplerDispatch:
             seed = int(rng.integers(1 << 30))
             with engine_mode("fast"):
                 dense = sample_counts(qc, 256, noise=nm, rng=seed)
-            with engine_mode("stabilizer"):
+            with engine_mode("auto"):
                 stab = sample_counts(qc, 256, noise=nm, rng=seed)
             assert dense.to_dict() == stab.to_dict(), trial
 
@@ -459,7 +460,7 @@ class TestSamplerDispatch:
         for seed in (1, 5, 9):
             with engine_mode("fast"):
                 dense = sample_counts(qc, 320, noise=nm, rng=seed)
-            with engine_mode("stabilizer"):
+            with engine_mode("auto"):
                 stab = sample_counts(qc, 320, noise=nm, rng=seed)
             assert dense.to_dict() == stab.to_dict(), seed
 
@@ -478,7 +479,7 @@ class TestSamplerDispatch:
         for seed in (0, 42):
             with engine_mode("fast"):
                 dense = sample_counts(qc, 256, noise=nm, rng=seed)
-            with engine_mode("stabilizer"):
+            with engine_mode("auto"):
                 stab = sample_counts(qc, 256, noise=nm, rng=seed)
             assert dense.to_dict() == stab.to_dict(), seed
 
@@ -486,18 +487,20 @@ class TestSamplerDispatch:
         qc = ghz_circuit(10)
         with engine_mode("fast"):
             dense = sample_counts(qc, 500, rng=3)
-        with engine_mode("stabilizer"):
+        with engine_mode("auto"):
             stab = sample_counts(qc, 500, rng=3)
         assert dense.to_dict() == stab.to_dict()
 
     def test_default_mode_keeps_dense_below_limit(self):
-        """≤26-qubit circuits keep their historical dense-engine streams
-        in the default mode (dispatch only auto-engages beyond it)."""
-        from repro.simulator.engines import TableauEngine, select_engine
+        """The default mode keeps a Clifford circuit on the dense engine
+        while the batched walk can stack it (≤13 qubits at the default
+        ``batch_max_bytes``) and sends it to the tableau beyond."""
+        from repro.simulator.engines import DenseEngine, TableauEngine, select_engine
 
-        assert select_engine("fast", ghz_circuit(20)) is not TableauEngine
-        assert select_engine("fast", ghz_circuit(27)) is TableauEngine
-        assert select_engine("stabilizer", ghz_circuit(4)) is TableauEngine
+        assert select_engine("fast", ghz_circuit(13)) is DenseEngine
+        for n in (14, 20, 27):
+            assert select_engine("fast", ghz_circuit(n)) is TableauEngine, n
+        assert select_engine("auto", ghz_circuit(4)) is TableauEngine
 
     def test_non_clifford_falls_back_to_dense(self):
         qc = QuantumCircuit(3)
@@ -506,7 +509,7 @@ class TestSamplerDispatch:
         qc.cx(0, 1)
         qc.rz(0.3, 2)
         qc.measure_all()
-        with engine_mode("stabilizer"):
+        with engine_mode("auto"):
             got = sample_counts(qc, 128, rng=5)
         with engine_mode("fast"):
             want = sample_counts(qc, 128, rng=5)
@@ -539,12 +542,12 @@ class TestSamplerDispatch:
             with engine_mode("fast", fast=True):
                 pass
         before = config.current()
-        with engine_mode("stabilizer"):
-            assert config.current().mode == "stabilizer"
+        with engine_mode("auto"):
+            assert config.current().mode == "auto"
             with engine_mode("baseline"):
                 assert config.current().mode == "baseline"
                 assert not StateVector(1).use_fast_kernels
-            assert config.current().mode == "stabilizer"
+            assert config.current().mode == "auto"
         assert config.current() is before
 
 
